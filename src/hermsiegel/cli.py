@@ -443,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--p", type=int, default=3)
     common.add_argument("--eps", type=int, default=None)
     common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
 
     top = argparse.ArgumentParser(prog="hermsiegel", description=__doc__)
@@ -510,10 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(p=args.p, eps=args.eps, workers=args.workers, seed=args.seed)
-    if args.budget is not None:
-        cfg.enum_budget = args.budget
-        cfg.oracle_budget = args.budget
     handlers = {
         "invariants": cmd_invariants,
         "den": cmd_den,
@@ -525,6 +520,10 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        cfg = RunConfig(p=args.p, eps=args.eps, seed=args.seed)
+        if args.budget is not None:
+            cfg.enum_budget = args.budget
+            cfg.oracle_budget = args.budget
         return handlers[args.cmd](args, cfg)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dc_field
 
+from .errors import UsageError
 from .overlat import DEFAULT_BUDGET
 from .oracle import DEFAULT_NODE_BUDGET
 
@@ -14,9 +15,12 @@ def _env_budget(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        return default
+        budget = None
+    if budget is None or budget < 1:
+        raise UsageError(f"HERMSIEGEL_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass
@@ -25,6 +29,5 @@ class RunConfig:
     eps: int | None = None
     enum_budget: int = dc_field(default_factory=lambda: _env_budget(DEFAULT_BUDGET))
     oracle_budget: int = dc_field(default_factory=lambda: _env_budget(DEFAULT_NODE_BUDGET))
-    workers: int = 1
     fmt: str = "text"
     seed: int = 0

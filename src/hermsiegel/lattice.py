@@ -46,11 +46,16 @@ def mzeros(fld: Field, n: int, m: int) -> Matrix:
 
 
 def mmul(A: Matrix, B: Matrix) -> Matrix:
+    """Exact product; zero factors are skipped (bases and Grams are sparse)."""
     n, k, m = len(A), len(B), len(B[0])
     assert len(A[0]) == k
-    return mat(
-        [[sum((A[i][l] * B[l][j] for l in range(k)), start=A[0][0].field.zero) for j in range(m)] for i in range(n)]
-    )
+    zero = A[0][0].field.zero
+
+    def entry(i, j):
+        terms = (A[i][l] * B[l][j] for l in range(k) if not (A[i][l].is_zero() or B[l][j].is_zero()))
+        return sum(terms, start=zero)
+
+    return mat([[entry(i, j) for j in range(m)] for i in range(n)])
 
 
 def mconj(A: Matrix) -> Matrix:
@@ -432,10 +437,11 @@ class EmbeddedLattice:
         return inv
 
     def _orthogonalize(self):
-        """Orthogonal basis certificate: (U, vals) with gram(B*U) = diag and
-        val(diag_i) = vals_i non-decreasing.  Greedy minimal-valuation pivoting;
-        an off-diagonal minimum is moved onto the diagonal by e_i += u*e_j with
-        u in {1, t}, which works because p is odd."""
+        """Orthogonal basis certificate: (U, vals, D) with gram(B*U) = D
+        diagonal and val(D_ii) = vals_i non-decreasing.  Greedy
+        minimal-valuation pivoting; an off-diagonal minimum is moved onto the
+        diagonal by e_i += u*e_j with u in {1, t}, which works because p is
+        odd."""
         cached = self._cache.get("ortho")
         if cached is not None:
             return cached
@@ -485,14 +491,20 @@ class EmbeddedLattice:
                 if not G[l][step].is_zero():
                     add_col(l, step, -(G[l][step] * pinv))
             vals.append(int(piv.valuation()))
-        result = (mat(U), vals)
+        # the column operations kept G equal to gram(B*U) exactly
+        result = (mat(U), vals, mat(G))
         self._cache["ortho"] = result
         return result
 
     def orthogonal_basis(self) -> "EmbeddedLattice":
         """Same lattice, re-based so that the Gram matrix is diagonal."""
-        U, _ = self._orthogonalize()
-        return EmbeddedLattice(self.space, mmul(self.basis, U), _check=False)
+        d = self._cache.get("orthobasis")
+        if d is None:
+            U, _, D = self._orthogonalize()
+            d = EmbeddedLattice(self.space, mmul(self.basis, U), _check=False)
+            d._cache["gram"] = D
+            self._cache["orthobasis"] = d
+        return d
 
     def val(self) -> int:
         return self.invariants().val

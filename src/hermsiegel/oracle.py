@@ -8,29 +8,41 @@ overlattice formula for Den(X, L) is validated.
 The solution sets are far too large to visit element by element (they grow
 like q^(N n (2m-n))), so the counts are aggregated exactly:
 
-  * sphere counts (single column) come from convolutions of one-variable
-    norm-count tables over Z/p^N;
+  * sphere counts (single column) depend on the target only through its
+    valuation.  F/F0 is unramified, so the norm O_F^x -> Z_p^x is onto, and
+    #{z : p^v u norm(z) = c mod p^N} is the same for every unit u and every c
+    of one valuation.  Count tables are therefore (N+1)-vectors on the
+    valuation classes V_0, ..., V_N of Z/p^N (V_N = {0}): the one-variable
+    norm counts have a closed form, and the table of a sum of variables is a
+    class convolution through the exact structure constants
+    #{s in V_i : c - s in V_j};
   * a column of unit norm splits off: the remaining columns range over its
     orthogonal complement, whose Gram is computed exactly and whose isometry
     class does not depend on the chosen column (Witt cancellation over
     O_F/p^N, p odd);
   * two non-unit columns over a unimodular diagonal form are counted by
     stratifying the first column by its content s and norm, a complete orbit
-    invariant for the unitary group of the form (Witt extension); the inner
-    linear-plus-norm count is vectorized with numpy.
+    invariant for the unitary group of the form (Witt extension); scaling the
+    column by a unit of O_F shows that each stratum's count depends on the
+    norm only through its valuation, so one representative per valuation is
+    evaluated.  A unit norm leaves a closed-form class count; a non-unit norm
+    leaves a linear-plus-norm count that is vectorized with numpy.
 
-Each of these reductions is an elementary change-of-variables bijection or a
-classical orbit statement about finite chain rings; none of them uses the
-density identities under test.  All reductions are cross-checked against the
-naive definitional enumeration count_rep_naive at small precision in the test
-suite.  The counts themselves are exact integers throughout (numpy is used
-only for bounded tables whose entries fit comfortably in int64).
+Each of these reductions is an elementary change-of-variables bijection, the
+surjectivity of the norm, or a classical orbit statement about finite chain
+rings; none of them uses the density identities under test.  All reductions
+are cross-checked against the naive definitional enumeration count_rep_naive
+at small precision in the test suite.  The counts themselves are exact
+integers throughout (numpy is used only for bounded tables whose entries fit
+comfortably in int64).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +51,10 @@ from .lattice import EmbeddedLattice
 from .ring import Field, norm_solve, reduce as reduce_mod
 
 DEFAULT_NODE_BUDGET = 10**9
+
+# int64 tables of length p^(2N) alive at once in a non-unit two-column
+# stratum; the stratum's a-priori cell estimate is this times p^(2N)
+_PAIR_TABLES = 8
 
 
 @dataclass(frozen=True)
@@ -73,60 +89,95 @@ def _diag_residues(L: EmbeddedLattice, N: int):
 
 
 # ---------------------------------------------------------------------------
-# one-variable norm tables and sphere counts
+# count tables on valuation classes
+#
+# A class vector f of length N + 1 is a function on Z/p^N that is constant on
+# each V_k = {c : val(c) = k} (V_N = {0}); f[k] is its value at one element.
+# The residue size q of F0 equals p.
 
 
-def _norm_vector(fld: Field, N: int):
-    """norms[i] for all p^(2N) elements x + y t, flattened as i = x * p^N + y."""
-    m = fld.p**N
-    xs = np.arange(m, dtype=np.int64)
-    sq = (xs * xs) % m
-    nrm = (sq[:, None] - (fld.eps % m) * sq[None, :]) % m
-    return nrm.reshape(-1)
+def _val_class(c: int, p: int, N: int) -> int:
+    """Index k of the class V_k of Z/p^N containing c."""
+    c %= p**N
+    if c == 0:
+        return N
+    k = 0
+    while c % p == 0:
+        c //= p
+        k += 1
+    return k
+
+
+def _norm_classes(p: int, N: int):
+    """#{z in O/p^N : norm(z) = c}: (q + 1) q^(N - 1) for a unit multiple of
+    an even power p^k, k < N, none at odd k, and q^(2 floor(N/2)) at c = 0
+    (then val(z) >= ceil(N/2))."""
+    out = [(p + 1) * p ** (N - 1) if k % 2 == 0 else 0 for k in range(N)]
+    out.append(p ** (2 * (N // 2)))
+    return out
+
+
+def _scaled_norm_classes(p: int, N: int, v: int):
+    """#{z in O/p^N : p^v u norm(z) = c} for any unit u, v <= N: zero below
+    V_v, then the counts at precision N - v, each solution mod p^(N - v)
+    lifting to q^(2v) residues mod p^N."""
+    return [0] * v + [p ** (2 * v) * x for x in _norm_classes(p, N - v)]
+
+
+@lru_cache(maxsize=None)
+def _class_structure(p: int, N: int):
+    """C[k] = {(i, j): #{s in V_i : c - s in V_j}} for any c in V_k, nonzero
+    entries only.  For i != k the ultrametric inequality forces
+    val(c - s) = min(i, k); for i = k < N, c - s runs over every class above
+    k once and the rest of V_k falls back into V_k."""
+    size = [(p - 1) * p ** (N - 1 - k) for k in range(N)] + [1]
+    C = []
+    for k in range(N + 1):
+        entries = {(i, min(i, k)): size[i] for i in range(N + 1) if i != k}
+        if k < N:
+            entries.update({(k, j): size[j] for j in range(k + 1, N + 1)})
+            entries[(k, k)] = size[k] - p ** (N - 1 - k)
+        else:
+            entries[(N, N)] = 1
+        C.append(entries)
+    return C
+
+
+def _class_conv_at(f, g, C, k: int) -> int:
+    """(f * g)(c) = sum_s f(s) g(c - s) for c in V_k."""
+    return sum(f[i] * g[j] * n for (i, j), n in C[k].items() if f[i] and g[j])
 
 
 _norm_cache: dict = {}
 
 
-def _scaled_norm_table(fld: Field, N: int, coeff: int):
-    """counts[c] = #{z in O/p^N : coeff * norm(z) = c (mod p^N)}."""
-    key = (fld.p, fld.eps, N, coeff % fld.p**N)
+def _sphere_classes(p: int, N: int, vals: tuple):
+    """Class vector of #{z in (O/p^N)^m : sum_k p^(v_k) u_k norm(z_k) = c}
+    for the sorted valuations vals = (v_1, ..., v_m), v_k <= N; by
+    surjectivity of the norm it does not depend on the units u_k."""
+    key = (p, N, vals)
     hit = _norm_cache.get(key)
     if hit is None:
-        m = fld.p**N
-        vals = (_norm_vector(fld, N) * (coeff % m)) % m
-        hit = np.bincount(vals, minlength=m).astype(object)
+        if vals:
+            head = _sphere_classes(p, N, vals[:-1])
+            tail = _scaled_norm_classes(p, N, vals[-1])
+            C = _class_structure(p, N)
+            hit = [_class_conv_at(head, tail, C, k) for k in range(N + 1)]
+        else:
+            hit = [0] * N + [1]
         _norm_cache[key] = hit
     return hit
 
 
-def _conv(a, b, m):
-    """Circular convolution of two exact count vectors of length m."""
-    out = [0] * m
-    for s, x in enumerate(a):
-        if x:
-            for t, y in enumerate(b):
-                if y:
-                    out[(s + t) % m] += int(x) * int(y)
-    return out
-
-
-def _sphere_dist(fld: Field, N: int, dvals):
-    """Distribution of sum_k d_k norm(z_k) over (O/p^N)^m, as an exact list."""
-    m = fld.p**N
-    dist = [0] * m
-    dist[0] = 1
-    for v, u in dvals:
-        coeff = (pow(fld.p, v, m) * u) % m if v < N else 0
-        tbl = list(_scaled_norm_table(fld, N, coeff))
-        dist = _conv(dist, tbl, m)
-    return dist
+def _class_vals(dvals, N: int) -> tuple:
+    return tuple(sorted(min(v, N) for v, _ in dvals))
 
 
 def _sphere_count(fld: Field, N: int, dvals, target: int) -> int:
+    """#{z in (O/p^N)^m : sum_k d_k norm(z_k) = target mod p^N}."""
     if N == 0:
         return 1
-    return _sphere_dist(fld, N, dvals)[target % fld.p**N]
+    return _sphere_classes(fld.p, N, _class_vals(dvals, N))[_val_class(target, fld.p, N)]
 
 
 def _sphere_prim_count(fld: Field, N: int, dvals, target: int) -> int:
@@ -147,12 +198,19 @@ def _sphere_prim_count(fld: Field, N: int, dvals, target: int) -> int:
     return total - p ** (2 * m) * _sphere_count(fld, N - 2, dvals, (target // (p * p)) % p ** (N - 2))
 
 
+def _coset_norm_classes(p: int, N: int, s: int):
+    """#{b in p^(N-s) O / p^N : u norm(b) = c} for any unit u.  With
+    b = p^(N-s) w, w in O/p^s, u norm(b) = p^v u norm(w) for v = 2(N - s);
+    the condition fixes norm(w) mod p^(N - v), and each solution mod
+    p^(N - v) lifts to q^(2(s - N + v)) = q^v residues mod p^s."""
+    v = 2 * (N - s)
+    if v >= N:
+        return [0] * N + [p ** (2 * s)]
+    return [0] * v + [p**v * x for x in _norm_classes(p, N - v)]
+
+
 # ---------------------------------------------------------------------------
 # structured counting
-
-
-def _count_rank1(fld: Field, N: int, mdiag, d_target: int) -> int:
-    return _sphere_count(fld, N, mdiag, d_target)
 
 
 _PAD = 4
@@ -180,27 +238,55 @@ def _count_unit_peel(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     return sphere * _count_structured(fld, rest, ldiag[1:], N, budget)
 
 
-def _coset_residues(fld: Field, N: int, s: int, base=(0, 0)):
-    """Residues mod p^N of base + p^(N-s) O, as paired (x, y) integer arrays
-    of length p^(2s) (both components range over the step lattice)."""
+def _coset_residues(fld: Field, N: int, s: int):
+    """Residues mod p^N of p^(N-s) O, as paired (x, y) integer arrays of
+    length p^(2s) (both components range over the step lattice)."""
     p = fld.p
-    step = p ** (N - s)
     ps = p**s
-    bx, by = base
-    ks = step * np.arange(ps, dtype=np.int64)
-    xs = (bx + np.repeat(ks, ps)) % p**N
-    ys = (by + np.tile(ks, ps)) % p**N
-    return xs, ys
+    ks = p ** (N - s) * np.arange(ps, dtype=np.int64)
+    return np.repeat(ks, ps), np.tile(ks, ps)
+
+
+def _two_nonunit_strata(p: int, N: int, c1: int):
+    """The strata of the first column a = p^s a0 with norm c1, as
+    (s, {val class of tau0: (representative tau0, multiplicity)}) where tau0
+    runs over the norms of a0 mod p^(N-s) compatible with
+    p^(2s) tau0 = c1 mod p^N."""
+    strata = []
+    for s in range(N):
+        Np = N - s
+        if 2 * s >= N:
+            if c1 != 0:
+                continue
+            taus = range(p**Np)
+        else:
+            if c1 % p ** (2 * s) != 0:
+                continue
+            gamma = (c1 // p ** (2 * s)) % p ** (N - 2 * s)
+            taus = [(gamma + lift * p ** (N - 2 * s)) % p**Np for lift in range(p**s)]
+        classes: dict = {}
+        for tau0 in taus:
+            k = _val_class(tau0, p, Np)
+            rep, mult = classes.get(k, (tau0, 0))
+            classes[k] = (rep, mult + 1)
+        strata.append((s, classes))
+    return strata
 
 
 def _count_two_nonunit(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     """n = 2, both diagonal targets of positive valuation, M unimodular diagonal.
 
     The first column a is stratified by its content s (a = p^s a0, a0
-    primitive) together with the norm of a0 mod p^(N-s); this pair is a
+    primitive) together with the norm tau0 of a0 mod p^(N-s); this pair is a
     complete orbit invariant for the unitary group of the standard form, so
     the count of second columns is evaluated once per stratum on an explicit
-    representative supported in the first two coordinates.
+    representative supported in the first two coordinates.  Replacing a by
+    lambda a for a unit lambda of O_F keeps the second columns orthogonal to
+    it and multiplies tau0 by norm(lambda), any unit of Z_p: both the number
+    of first columns and the count of second columns depend on tau0 only
+    through its valuation.  The non-unit strata are sized before any is
+    counted: the count is refused when their tables or their total work
+    exceed the budget.
     """
     p = fld.p
     pN = p**N
@@ -212,35 +298,30 @@ def _count_two_nonunit(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     (v1, u1), (v2, u2) = ldiag
     c1 = (pow(p, v1, pN) * u1) % pN if v1 < N else 0
     c2 = (pow(p, v2, pN) * u2) % pN if v2 < N else 0
+    strata = _two_nonunit_strata(p, N, c1)
+    cells = _PAIR_TABLES * p ** (2 * N)
+    work = sum(p ** (2 * s) * p ** (2 * N) for s, classes in strata for tau0, _ in classes.values() if tau0 % p == 0)
+    if work and max(cells, work) > budget:
+        raise BudgetExceeded(
+            f"two-column count needs {cells} table cells and {work} vector operations, over the budget of {budget}"
+        )
     total = 0
     # stratum a = 0: the cross constraint is vacuous (L is diagonal), the
     # second column is a plain sphere
     if c1 == 0:
         total += _sphere_count(fld, N, mdiag, c2)
-    for s in range(N):
+    for s, classes in strata:
         Np = N - s
         mdiag_Np = [(v if v < Np else Np, u % p**Np) for v, u in mdiag]
-        # compatible norm classes tau0 of the primitive part mod p^Np:
-        # p^(2s) tau0 = c1 mod p^N
-        if 2 * s >= N:
-            if c1 != 0:
-                continue
-            taus = range(p**Np)
-        else:
-            if c1 % p ** (2 * s) != 0:
-                continue
-            gamma = (c1 // p ** (2 * s)) % p ** (N - 2 * s)
-            taus = [(gamma + lift * p ** (N - 2 * s)) % p**Np for lift in range(p**s)]
-        for tau0 in taus:
+        for tau0, mult in classes.values():
             R = _sphere_prim_count(fld, Np, mdiag_Np, tau0)
             if R == 0:
                 continue
-            f = _inner_count(fld, N, s, tau0, mdiag, c2, budget)
-            total += R * f
+            total += mult * R * _inner_count(fld, N, s, tau0, mdiag, c2)
     return total
 
 
-def _inner_count(fld, N, s, tau0, mdiag, c2, budget):
+def _inner_count(fld, N, s, tau0, mdiag, c2):
     """#{b : (a, b) = 0, (b, b) = c2} for the standard representative a =
     p^s a0 of the stratum with norm(a0) = tau0 mod p^(N-s).
 
@@ -249,52 +330,45 @@ def _inner_count(fld, N, s, tau0, mdiag, c2, budget):
     """
     p = fld.p
     pN = p**N
+    C = _class_structure(p, N)
+    k2 = _val_class(c2, p, N)
+    if tau0 % p != 0:
+        # pattern A: a0 = (z, 0, ...) with d1 norm(z) = tau0 (a unit)
+        # condition on b: d1 conj(z) b1 in p^(N-s) O, i.e. b1 in p^(N-s) O
+        rest = _sphere_classes(p, N, _class_vals(mdiag[1:], N))
+        return _class_conv_at(_coset_norm_classes(p, N, s), rest, C, k2)
+    # pattern B: a0 = (z, 1, 0, ...) with d1 norm(z) = tau0 - d2 (a unit)
     K = N + _PAD
     pK = p**K
     ringK = fld.residue_ring(K)
     d1 = mdiag[0][1] % pN
-    d2 = mdiag[1][1] % pN if len(mdiag) > 1 else None
-    if tau0 % p != 0:
-        # pattern A: a0 = (z, 0, ...) with d1 norm(z) = tau0 (a unit)
-        # condition on b: d1 conj(z) b1 in p^(N-s) O, i.e. b1 in p^(N-s) O
-        if p ** (2 * s) > budget:
-            raise BudgetExceeded("coset enumeration too large")
-        xs, ys = _coset_residues(fld, N, s, (0, 0))
-        norm_b1 = (xs * xs - (fld.eps % pN) * ys * ys) % pN
-        T = np.bincount((norm_b1 * d1) % pN, minlength=pN).astype(object)
-        rest = _sphere_dist(fld, N, mdiag[1:])
-        return sum(int(T[y]) * rest[(c2 - y) % pN] for y in range(pN) if T[y])
-    # pattern B: a0 = (z, 1, 0, ...) with d1 norm(z) = tau0 - d2 (a unit)
+    d2 = mdiag[1][1] % pN
     t = (tau0 - d2) % pK
     if t % p == 0:
         raise HermSiegelError("stratum representative construction failed")
     z = norm_solve(ringK, t * pow(d1, -1, pK) % pK)
     zr = reduce_mod(z.lift(), N)
     # u := d1 conj(z) b1 + d2 b2 must lie in p^(N-s) O; (b1, u) <-> (b1, b2)
-    work = p ** (2 * s) * p ** (2 * N)
-    if work > budget:
-        raise BudgetExceeded(f"two-column stratum needs {work} vector operations")
     xs_all = np.arange(pN, dtype=np.int64)
     b1x = np.repeat(xs_all, pN)
     b1y = np.tile(xs_all, pN)
-    norm_b1 = (b1x * b1x - (fld.eps % pN) * b1y * b1y) % pN
+    norm_b1 = (d1 * (b1x * b1x - (fld.eps % pN) * b1y * b1y)) % pN
     ca = (d1 * zr.a) % pN
     cb = (-d1 * zr.b) % pN
     cb1x = (ca * b1x + fld.eps * cb * b1y) % pN
     cb1y = (ca * b1y + cb * b1x) % pN
+    del b1x, b1y
     d2inv = pow(d2, -1, pN)
     T = np.zeros(pN, dtype=object)
-    ux_list, uy_list = _coset_residues(fld, N, s, (0, 0))
+    ux_list, uy_list = _coset_residues(fld, N, s)
     for ux, uy in zip(ux_list, uy_list):
         wx = ((int(ux) - cb1x) * d2inv) % pN
         wy = ((int(uy) - cb1y) * d2inv) % pN
         norm_b2 = (wx * wx - (fld.eps % pN) * wy * wy) % pN
-        tot = (d1 * norm_b1 + d2 * norm_b2) % pN
-        T += np.bincount(tot, minlength=pN).astype(object)
-    if len(mdiag) == 2:
-        return int(T[c2 % pN])
-    rest = _sphere_dist(fld, N, mdiag[2:])
-    return sum(int(T[y]) * rest[(c2 - y) % pN] for y in range(pN) if T[y])
+        T += np.bincount((norm_b1 + d2 * norm_b2) % pN, minlength=pN).astype(object)
+    # T is a class function: b -> lambda b keeps the linear condition
+    T = [int(T[pow(p, k, pN)]) for k in range(N + 1)]
+    return _class_conv_at(T, _sphere_classes(p, N, _class_vals(mdiag[2:], N)), C, k2)
 
 
 def _count_structured(fld: Field, mdiag, ldiag, N: int, budget) -> int:
@@ -308,9 +382,7 @@ def _count_structured(fld: Field, mdiag, ldiag, N: int, budget) -> int:
         return _count_unit_peel(fld, mdiag, ldiag, N, budget)
     if len(ldiag) == 1:
         v, u = ldiag[0]
-        pN = fld.p**N
-        target = (pow(fld.p, v, pN) * u) % pN if v < N else 0
-        return _count_rank1(fld, N, mdiag, target)
+        return _sphere_count(fld, N, mdiag, fld.p**v * u)
     if len(ldiag) == 2:
         return _count_two_nonunit(fld, mdiag, ldiag, N, budget)
     raise BudgetExceeded("structured oracle supports rank <= 2 after unit peeling")
@@ -333,15 +405,13 @@ def count_rep(M: EmbeddedLattice, L: EmbeddedLattice, N: int, budget: int = DEFA
     return _count_structured(fld=M.field, mdiag=mdiag, ldiag=ldiag, N=N, budget=budget)
 
 
-def count_rep_naive(M: EmbeddedLattice, L: EmbeddedLattice, N: int, budget: int = 10**8, workers: int = 1) -> int:
+def count_rep_naive(M: EmbeddedLattice, L: EmbeddedLattice, N: int, budget: int = 10**8) -> int:
     """Definitional enumeration: scan columns with early constraint pruning.
 
     Exponential; used as ground truth for the structured count at small sizes.
-    The scan over the first column can be partitioned deterministically into
-    `workers` chunks (summed sequentially; counts are schedule-independent).
     """
     fld = M.field
-    p, pN = fld.p, fld.p**N
+    pN = fld.p**N
     m, n = M.rank, L.rank
     gm = [[reduce_mod(M.gram[i][j], N) for j in range(m)] for i in range(m)]
     gl = [[reduce_mod(L.gram[i][j], N) for j in range(n)] for i in range(n)]
@@ -359,8 +429,6 @@ def count_rep_naive(M: EmbeddedLattice, L: EmbeddedLattice, N: int, budget: int 
                     acc = acc + gm[i][j] * u[i] * v[j].conjugate()
         return acc
 
-    import itertools
-
     def extend(cols, j):
         if j == n:
             return 1
@@ -375,18 +443,7 @@ def count_rep_naive(M: EmbeddedLattice, L: EmbeddedLattice, N: int, budget: int 
                 total += extend(cols + [cand], j + 1)
         return total
 
-    chunks = max(1, workers)
-    if n == 0:
-        return 1
-    total = 0
-    first = list(itertools.product(elems, repeat=m))
-    size = (len(first) + chunks - 1) // chunks
-    for c in range(chunks):
-        part = first[c * size : (c + 1) * size]
-        for cand in part:
-            if herm(cand, cand) == gl[0][0]:
-                total += extend([list(cand)], 1)
-    return total
+    return extend([], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +460,11 @@ def den_oracle(M: EmbeddedLattice, L: EmbeddedLattice, budget: int = DEFAULT_NOD
     q = L.field.q
     n, m = L.rank, M.rank
     N0 = max(1, L.val() + 1)
-    vals = []
-    for N in (N0, N0 + 1):
-        c = count_rep(M, L, N, budget)
-        vals.append(Fraction(c, q ** (N * _dim_exponent(m, n))))
-    stab = vals[0] == vals[1]
-    return RepCount(N=N0 + 1, count=count_rep(M, L, N0 + 1, budget), normalized=vals[1], stabilized=stab)
-
-
-def unimodular_lattice(fld: Field, r: int) -> EmbeddedLattice:
-    from .lattice import lattice_from_invariants
-
-    return lattice_from_invariants(fld, (0,) * r)
+    # the finer precision first: a count over the budget there is refused
+    # before the coarser one spends anything
+    counts = {N: count_rep(M, L, N, budget) for N in (N0 + 1, N0)}
+    vals = [Fraction(counts[N], q ** (N * _dim_exponent(m, n))) for N in (N0, N0 + 1)]
+    return RepCount(N=N0 + 1, count=counts[N0 + 1], normalized=vals[1], stabilized=vals[0] == vals[1])
 
 
 def cancellation_oracle_check(L: EmbeddedLattice, k: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hermsiegel.cli import main
 from hermsiegel.lattice import lattice_from_invariants, lattice_to_json
 
@@ -118,3 +120,15 @@ def test_env_budget_override(monkeypatch):
     monkeypatch.setenv("HERMSIEGEL_BUDGET", "12345")
     cfg = RunConfig()
     assert cfg.enum_budget == 12345 and cfg.oracle_budget == 12345
+
+
+def test_env_budget_malformed(monkeypatch, capsys):
+    from hermsiegel.config import RunConfig
+    from hermsiegel.errors import UsageError
+
+    for raw in ("12x", "", "0", "-5"):
+        monkeypatch.setenv("HERMSIEGEL_BUDGET", raw)
+        with pytest.raises(UsageError):
+            RunConfig()
+        rc = main(["den", "poly", "--inv", "1", "--p", "3"])
+        assert rc == 2 and "HERMSIEGEL_BUDGET" in capsys.readouterr().err
