@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.  All numeric output is exact; fractions print as "a/b".
+Exit codes: 0 success, 1 verification failure or another library error
+(an oracle shape the structured count does not support among them), 2 usage
+error, 3 budget exceeded.  All numeric output is exact; fractions print as
+"a/b".
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from .overlat import (
     cyclic_overlattices,
     overlattice_profiles,
 )
-from .density import den_value, weight_m_der
+from .density import den_value, overlattice_histogram, weight_m_der
 from .ring import norm_solve
 
 
@@ -101,19 +101,11 @@ def m_of_flat(Lflat: EmbeddedLattice) -> FlatAux:
 # the three weighted sums
 
 
-_full_cache: dict = {}
-
-
 def _weighted_sum_full(L: EmbeddedLattice, budget) -> int:
-    """sum of m(t(L')) over integral overlattices; depends only on the
-    fundamental invariants, which keys the memo."""
-    key = (L.field.p, L.field.eps, tuple(L.invariants()))
-    hit = _full_cache.get(key)
-    if hit is None:
-        q = L.field.q
-        hit = sum(weight_m_der(t, q) for _, t, _ in overlattice_profiles(L, budget))
-        _full_cache[key] = hit
-    return hit
+    """sum of m(t(L')) over integral overlattices, read off the class
+    histogram that the density memo keeps."""
+    q = L.field.q
+    return sum(n * weight_m_der(t, q) for (_, t), n in overlattice_histogram(L, budget))
 
 
 def _section_weighted_sum(Lflat: EmbeddedLattice, L: EmbeddedLattice, budget) -> int:
@@ -213,10 +205,7 @@ _horiz_cache: dict = {}
 
 
 def _pden_sum_full(fp: FlatPair, budget) -> Fraction:
-    try:
-        L = fp.full_lattice()
-    except PreconditionViolated:
-        raise
+    L = fp.full_lattice()
     if not L.is_integral():
         return Fraction(0)
     return Fraction(_weighted_sum_full(L, budget))

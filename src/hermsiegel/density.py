@@ -4,10 +4,21 @@ Den(X, L) is computed as the weighted overlattice sum
 
     Den(X, L) = sum over integral L' >= L of X^(2 length(L'/L)) * m(t(L'); X)
 
-with weight factors m(a; X) = prod_{i=0}^{a-1} (1 - (-q)^i X).  All closed
-low-rank forms are implemented with exact geometric-series expansions so that
-no rational-function arithmetic is ever approximate; the single division by
-(1 + X) in the rank-3 closed form is performed exactly and audited.
+with weight factors m(a; X) = prod_{i=0}^{a-1} (1 - (-q)^i X).
+
+The sum only needs the (length, type) histogram of the integral overlattices,
+and that histogram is memoized once per isometry class, keyed on
+(p, eps, sorted fundamental invariants).  The key is exact: over the
+unramified F/F0 every unit of Z_p is a norm from O_F, so each Jordan
+component is determined by its scale and rank, and the invariants determine
+L up to isometry (Jacobowitz).  Den(X, L), its central derivative and the
+weighted sums of the decomposition layer all read that one entry; different
+bases or ambient spaces of the same class share it.
+
+All closed low-rank forms are implemented with exact geometric-series
+expansions so that no rational-function arithmetic is ever approximate; the
+single division by (1 + X) in the rank-3 closed form is performed exactly and
+audited.
 """
 
 from __future__ import annotations
@@ -198,47 +209,73 @@ class DensityPoly:
         return {"coeffs": list(self.coeffs), "q": self.q, "val": self.val_parity}
 
 
+@dataclass
+class _ClassEntry:
+    """What the density layer knows about one isometry class."""
+
+    histogram: tuple  # sorted ((length, type), number of integral overlattices)
+    poly: DensityPoly
+    derivative: Fraction | None = None  # verified -Den'(1), odd valuation only
+
+
+# memo of class entries, keyed on (p, eps, sorted fundamental invariants)
 _den_cache: dict = {}
 
 
-def den_poly_uncached(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> DensityPoly:
-    """Den(X, L) by direct overlattice enumeration (no memoization)."""
-    q = L.field.q
-    if not L.is_integral():
-        return DensityPoly((), q, L.val() % 2)
-    acc = []
-    for length, type_t, _ in overlattice_profiles(L, budget):
-        acc = poly_add(acc, poly_shift(weight_m(type_t, q), 2 * length))
-    return DensityPoly(tuple(acc), q, L.val() % 2)
+def _class_entry(fld, invs: tuple, member, budget) -> _ClassEntry:
+    """The memo entry of the class (fld, invs); on a miss `member()` builds a
+    lattice of that class, whose overlattices are enumerated once."""
+    key = (fld.p, fld.eps, invs)
+    entry = _den_cache.get(key)
+    if entry is None:
+        counts = {}
+        if all(a >= 0 for a in invs):
+            for length, type_t, _ in overlattice_profiles(member(), budget):
+                counts[length, type_t] = counts.get((length, type_t), 0) + 1
+        hist = tuple(sorted(counts.items()))
+        acc = []
+        for (length, type_t), n in hist:
+            acc = poly_add(acc, poly_scale(n, poly_shift(weight_m(type_t, fld.q), 2 * length)))
+        entry = _ClassEntry(hist, DensityPoly(tuple(acc), fld.q, sum(invs) % 2))
+        _den_cache[key] = entry
+    return entry
+
+
+def _entry_of(L: EmbeddedLattice, budget) -> _ClassEntry:
+    return _class_entry(L.field, tuple(L.invariants()), lambda: L, budget)
+
+
+def overlattice_histogram(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Sorted ((length, type), count) pairs over the integral overlattices of
+    L, memoized on the isometry class; empty when L is not integral."""
+    return _entry_of(L, budget).histogram
 
 
 def den_poly(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> DensityPoly:
-    """Den(X, L), memoized on the canonical basis of L."""
-    key = (L.space, L.key())
-    hit = _den_cache.get(key)
-    if hit is None:
-        hit = den_poly_uncached(L, budget)
-        _den_cache[key] = hit
-    return hit
+    """Den(X, L), memoized on the isometry class of L."""
+    return _entry_of(L, budget).poly
 
 
 def derived_den(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Central derivative -d/dX|_{X=1} Den(X, L), defined for odd val(L).
 
     Cross-computed two ways (polynomial derivative and the weighted lattice
-    count sum of m(t(L'))) which must agree exactly.
+    count sum of m(t(L')) over a second, independent enumeration) which must
+    agree exactly; the agreed value is kept with the class.
     """
     if not L.is_integral():
         raise PreconditionViolated("derived density requires an integral lattice")
     if L.val() % 2 == 0:
         raise EvenValuation("central derivative needs odd valuation; use the central value instead")
-    q = L.field.q
-    pol = den_poly(L, budget)
-    via_poly = -pol.derivative_at_one()
-    via_weights = sum(weight_m_der(type_t, q) for _, type_t, _ in overlattice_profiles(L, budget))
-    if via_poly != via_weights:
-        raise HermSiegelError("internal disagreement between derivative paths")
-    return Fraction(via_weights)
+    entry = _entry_of(L, budget)
+    if entry.derivative is None:
+        q = L.field.q
+        via_poly = -entry.poly.derivative_at_one()
+        via_weights = sum(weight_m_der(type_t, q) for _, type_t, _ in overlattice_profiles(L, budget))
+        if via_poly != via_weights:
+            raise HermSiegelError("internal disagreement between derivative paths")
+        entry.derivative = Fraction(via_weights)
+    return entry.derivative
 
 
 def den_value(L: EmbeddedLattice, x, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -405,10 +442,12 @@ def adjoin_uniformizer_line(L: EmbeddedLattice) -> EmbeddedLattice:
 
 def den_lambda_poly(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> DensityPoly:
     """Density polynomial relative to an almost self-dual reference lattice:
-    Den_Lambda(X, L) = Den(X, L # <p>)."""
+    Den_Lambda(X, L) = Den(X, L # <p>).  The class of L # <p> has the
+    invariants of L plus one 1, so a memo hit builds no lattice."""
     if not L.is_integral():
         return DensityPoly((), L.field.q, (L.val() + 1) % 2)
-    return den_poly(adjoin_uniformizer_line(L), budget)
+    invs = tuple(sorted(tuple(L.invariants()) + (1,)))
+    return _class_entry(L.field, invs, lambda: adjoin_uniformizer_line(L), budget).poly
 
 
 def derived_den_lambda(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> Fraction:

@@ -29,6 +29,10 @@ class BudgetExceeded(HermSiegelError):
     """An enumeration or search would exceed the configured work budget."""
 
 
+class UnsupportedShape(HermSiegelError):
+    """The structured oracle has no count for this shape, whatever the budget."""
+
+
 class EvenValuation(HermSiegelError):
     """Central derivative requested for a lattice of even valuation."""
 

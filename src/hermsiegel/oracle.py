@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, HermSiegelError, PreconditionViolated
+from .errors import BudgetExceeded, HermSiegelError, PreconditionViolated, UnsupportedShape
 from .lattice import EmbeddedLattice
 from .ring import Field, norm_solve, reduce as reduce_mod
 
@@ -292,7 +292,7 @@ def _count_two_nonunit(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     pN = p**N
     mrank = len(mdiag)
     if any(v != 0 for v, _ in mdiag):
-        raise BudgetExceeded("structured two-column count needs a unimodular ambient form")
+        raise UnsupportedShape("structured two-column count needs a unimodular ambient form")
     if mrank < 2:
         return 0
     (v1, u1), (v2, u2) = ldiag
@@ -385,7 +385,7 @@ def _count_structured(fld: Field, mdiag, ldiag, N: int, budget) -> int:
         return _sphere_count(fld, N, mdiag, fld.p**v * u)
     if len(ldiag) == 2:
         return _count_two_nonunit(fld, mdiag, ldiag, N, budget)
-    raise BudgetExceeded("structured oracle supports rank <= 2 after unit peeling")
+    raise UnsupportedShape("structured oracle supports rank <= 2 after unit peeling")
 
 
 def count_rep(M: EmbeddedLattice, L: EmbeddedLattice, N: int, budget: int = DEFAULT_NODE_BUDGET) -> int:

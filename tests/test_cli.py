@@ -86,6 +86,13 @@ def test_budget_exit_code(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("m_invs, l_invs", [("0 1", "1 1"), ("0 0 0 0", "1 1 1")])
+def test_oracle_unsupported_shape_exit_code(capsys, m_invs, l_invs):
+    rc = main(["oracle", "den", "--M", m_invs, "--L", l_invs, "--p", "3", "--budget", str(10**15)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "budget" not in err
+
+
 def test_verify_suite(capsys):
     rc, out = run(capsys, "verify", "--suite", "eisenstein", "--p", "3", "--seed", "42")
     assert rc == 0 and "eisenstein: ok" in out

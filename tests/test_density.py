@@ -1,14 +1,17 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_invariants, random_lattice
-from hermsiegel.errors import EvenValuation, OddValuation, PreconditionViolated
+from hermsiegel import density
+from hermsiegel.decomp import _weighted_sum_full
+from hermsiegel.errors import EvenValuation, HermSiegelError, OddValuation, PreconditionViolated
 from hermsiegel.density import (
+    adjoin_uniformizer_line,
     den_central,
     den_lambda_poly,
     den_poly,
-    den_poly_uncached,
     den_value,
     derived_den,
     derived_den_lambda,
@@ -29,7 +32,7 @@ from hermsiegel.lattice import (
     random_unimodular,
     rebased,
 )
-from hermsiegel.overlat import integral_overlattices
+from hermsiegel.overlat import DEFAULT_BUDGET, integral_overlattices, overlattice_profiles
 
 
 def test_weight_factor_conventions():
@@ -172,16 +175,106 @@ def test_den_lambda_selfdual(F3):
         assert den_lambda_poly(L).coeffs == (1, -1)
 
 
-def test_invariant_dependence(F3, rng):
-    # density depends only on the fundamental invariants: same invariants in
-    # different bases and different ambient realizations give equal polynomials
-    for _ in range(5):
-        invs = random_invariants(rng, 3, 4)
-        L1 = lattice_from_invariants(F3, invs)
-        L2 = rebased(L1, random_unimodular(F3, L1.rank, rng))
-        L3 = lattice_in_standard_space(F3, invs)
-        p1 = den_poly_uncached(L1)
-        assert p1.coeffs == den_poly_uncached(L2).coeffs == den_poly_uncached(L3).coeffs
+def _histogram(L):
+    return Counter((length, type_t) for length, type_t, _ in overlattice_profiles(L))
+
+
+def test_invariant_dependence(F3, F5, rng):
+    # the overlattice histogram, which the density memo keys on (p, eps,
+    # invariants), depends only on the fundamental invariants: different bases
+    # and different ambient realizations agree, and so do their extensions by
+    # a norm-p line; enumerated directly, bypassing the memo
+    for fld, max_rank, max_val in ((F3, 3, 4), (F5, 2, 3)):
+        for _ in range(5):
+            invs = random_invariants(rng, max_rank, max_val)
+            L1 = lattice_from_invariants(fld, invs)
+            L2 = rebased(L1, random_unimodular(fld, L1.rank, rng))
+            L3 = lattice_in_standard_space(fld, invs)
+            for ext in (lambda L: L, adjoin_uniformizer_line):
+                h1, h2, h3 = (_histogram(ext(L)) for L in (L1, L2, L3))
+                assert h1 == h2 == h3
+
+
+def _count_enumerations(monkeypatch):
+    """Start from an empty density memo and record every enumeration it makes."""
+    calls = []
+    enumerate_profiles = density.overlattice_profiles
+
+    def counted(L, budget=DEFAULT_BUDGET):
+        calls.append(L)
+        return enumerate_profiles(L, budget)
+
+    monkeypatch.setattr(density, "overlattice_profiles", counted)
+    monkeypatch.setattr(density, "_den_cache", {})
+    return calls
+
+
+def test_memo_enumerates_once_per_class(F3, rng, monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    invs = (1, 1, 2)
+    L1 = lattice_from_invariants(F3, invs)
+    L2 = rebased(L1, random_unimodular(F3, L1.rank, rng))
+    L3 = lattice_in_standard_space(F3, invs)
+    assert den_poly(L1).coeffs == den_poly(L2).coeffs == den_poly(L3).coeffs
+    assert den_central(L2) == den_poly(L1)(1) and den_value(L3, -3) == den_poly(L1)(-3)
+    assert len(calls) == 1
+
+
+def test_derived_den_cross_checks_once_per_class(F3, rng, monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    L = lattice_from_invariants(F3, (0, 1, 2))
+    d = derived_den(L)
+    assert len(calls) == 2  # the polynomial, then the independent weighted count
+    assert d == -den_poly(L).derivative_at_one()
+    assert derived_den(rebased(L, random_unimodular(F3, L.rank, rng))) == d
+    assert derived_den(lattice_in_standard_space(F3, (0, 1, 2))) == d
+    assert len(calls) == 2
+    # den_poly first: the derivative still runs its own second enumeration
+    L = lattice_from_invariants(F3, (1, 2))
+    den_poly(L)
+    assert len(calls) == 3
+    derived_den(L)
+    assert len(calls) == 4
+
+
+def test_derived_den_cross_check_catches_a_disagreement(F3, monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    L = lattice_from_invariants(F3, (1, 2))
+    den_poly(L)
+    enumerate_profiles = overlattice_profiles
+    monkeypatch.setattr(density, "overlattice_profiles", lambda L, budget: enumerate_profiles(L, budget)[1:])
+    with pytest.raises(HermSiegelError):
+        derived_den(L)
+    assert len(calls) == 1
+
+
+def test_den_lambda_hit_skips_the_extension(F3, monkeypatch):
+    monkeypatch.setattr(density, "_den_cache", {})
+    L = lattice_from_invariants(F3, (1, 3))
+    first = den_lambda_poly(L)
+
+    def refuse(_):
+        raise AssertionError("a memo hit built L # <p>")
+
+    monkeypatch.setattr(density, "adjoin_uniformizer_line", refuse)
+    assert den_lambda_poly(lattice_in_standard_space(F3, (1, 3))) == first
+    assert derived_den_lambda(L) == -first.derivative_at_one()
+    monkeypatch.setattr(density, "_den_cache", {})
+    assert den_poly(adjoin_uniformizer_line(L)).coeffs == first.coeffs
+
+
+def test_weighted_sum_full_reads_the_class_histogram(F3, F5, rng):
+    for fld, invs in ((F3, (2,)), (F3, (1, 2)), (F3, (0, 2, 2)), (F3, (1, 1, 3)), (F5, (1, 1)), (F5, (0, 3))):
+        L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
+        direct = sum(weight_m_der(t, fld.q) for _, t, _ in overlattice_profiles(L))
+        assert _weighted_sum_full(L, DEFAULT_BUDGET) == direct
+        if sum(invs) % 2:
+            assert direct == derived_den(L)
+    # at even valuation the sum is not the central derivative: <p^2> has the
+    # overlattices <p^2> (type 1) and <1> (type 0), but Den = 1 - X + X^2
+    L = lattice_from_invariants(F3, (2,))
+    assert _weighted_sum_full(L, DEFAULT_BUDGET) == 1
+    assert -den_poly(L).derivative_at_one() == -1
 
 
 def test_cancellation_under_unimodular_extension(F3, rng):

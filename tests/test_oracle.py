@@ -7,7 +7,7 @@ import pytest
 
 from hermsiegel import oracle
 from hermsiegel.density import den_poly
-from hermsiegel.errors import BudgetExceeded, PreconditionViolated
+from hermsiegel.errors import BudgetExceeded, PreconditionViolated, UnsupportedShape
 from hermsiegel.lattice import lattice_from_invariants, random_unimodular, rebased
 from hermsiegel.oracle import (
     cancellation_oracle_check,
@@ -228,3 +228,17 @@ def test_two_nonunit_refused_before_allocating(monkeypatch, p, invs, budget):
     with pytest.raises(BudgetExceeded, match="table cells"):
         den_oracle(lat(fld, 0, 0, 0), lat(fld, *invs), budget=budget)
     assert time.perf_counter() - start < 1.0
+
+
+# shapes the structured count does not cover: two non-unit columns in a
+# non-unimodular ambient form, and rank 3 left after peeling the unit columns
+UNSUPPORTED = [((0, 1), (1, 1)), ((0, 0, 0, 0), (1, 1, 1))]
+
+
+@pytest.mark.parametrize("m_invs, l_invs", UNSUPPORTED)
+def test_unsupported_shape_is_not_a_budget_refusal(F3, m_invs, l_invs):
+    M, L = lat(F3, *m_invs), lat(F3, *l_invs)
+    with pytest.raises(UnsupportedShape):
+        count_rep(M, L, 2, budget=10**15)
+    with pytest.raises(UnsupportedShape):
+        den_oracle(M, L, budget=10**15)
