@@ -41,10 +41,6 @@ def mident(fld: Field, n: int) -> Matrix:
     return mat([[fld.one if i == j else fld.zero for j in range(n)] for i in range(n)])
 
 
-def mzeros(fld: Field, n: int, m: int) -> Matrix:
-    return mat([[fld.zero] * m for _ in range(n)])
-
-
 def mmul(A: Matrix, B: Matrix) -> Matrix:
     """Exact product; zero factors are skipped (bases and Grams are sparse)."""
     n, k, m = len(A), len(B), len(B[0])
@@ -60,10 +56,6 @@ def mmul(A: Matrix, B: Matrix) -> Matrix:
 
 def mconj(A: Matrix) -> Matrix:
     return mat([[x.conjugate() for x in row] for row in A])
-
-
-def mconjT(A: Matrix) -> Matrix:
-    return mat([[A[i][j].conjugate() for i in range(len(A))] for j in range(len(A[0]))])
 
 
 def mT(A: Matrix) -> Matrix:
@@ -168,14 +160,6 @@ def nullspace(A: Matrix) -> Matrix:
             v[pcol] = -R[i][fcol]
         cols.append(v)
     return mat([[cols[j][i] for j in range(len(cols))] for i in range(m)])
-
-
-def mat_min_val(A: Matrix):
-    v = INF
-    for row in A:
-        for x in row:
-            v = min(v, x.valuation())
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +653,6 @@ def quotient_divisors(L_sub: EmbeddedLattice, L_sup: EmbeddedLattice):
             raise NotContained("degenerate transition matrix")
     divs = [mins[k] - mins[k - 1] for k in range(1, r + 1)]
     return tuple(sorted(divs, reverse=True))
-
-
-def quotient_length(L_sub: EmbeddedLattice, L_sup: EmbeddedLattice) -> int:
-    return sum(quotient_divisors(L_sub, L_sup))
 
 
 def coset_representatives(L_sup: EmbeddedLattice, L_sub: EmbeddedLattice, cap: int | None = None):

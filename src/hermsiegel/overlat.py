@@ -1,11 +1,19 @@
 """Enumeration of integral overlattices of an integral hermitian lattice.
 
 Every integral L' containing L sits between L and L^v, so the search space is
-the finite module L^v/L = (+) O_F/p^(a_i).  Submodules are enumerated without
-duplication through canonical triangular matrices over O_F/p^k whose pivots
-are powers of p; the containment congruences are solved exactly row by row, so
-only genuine submodules are ever generated.  Candidates are then lifted to
-lattices and filtered by integrality of the lifted Gram matrix.
+the finite module L^v/L = (+) O_F/p^(a_i), with a_0 <= ... <= a_(r-1).
+Submodules are enumerated without duplication through canonical triangular
+matrices H over O_F/p^k whose pivots are powers of p; the containment
+congruences are solved exactly entry by entry, so only genuine submodules are
+ever generated.  H is filled column by column, left to right, and each column
+bottom-up.  L' is integral iff its Gram matrix W = H^H D H, with D the diagonal
+Gram of the dual basis scaled by p^(a_(r-1)), vanishes mod p^(a_(r-1)).
+Because H is upper triangular, W[j][m] for j <= m depends on columns j and m
+only, so a candidate is rejected as soon as a column makes its Gram block
+non-integral, and inside a column as soon as the rows set so far fix a
+non-zero residue of W (see `_overlattice_family`).  Both checks are exact:
+the enumeration yields the same set as lifting every submodule and testing
+its integrality.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .lattice import (
 )
 
 # candidate budget: the largest acceptance instance, diag(p^4, p^4, p) at
-# q = 5, runs past 10^7 submodule candidates, so the default sits above it
+# q = 5, generates 653,457 submodule candidates, so the default leaves ample room
 DEFAULT_BUDGET = 10**8
 
 # the a-priori estimate overcounts (it ignores congruence failures), so the
@@ -55,91 +63,86 @@ def _pdivides(pk, u):
     return u[0] % pk == 0 and u[1] % pk == 0
 
 
-def _submodules(a, p, eps, budget, counter, row_ok=None, ksum_target=None):
+def _submodules(a, p, eps, budget, counter, entry_ok=None, ksum_target=None):
     """Yield (kvals, H, cvec) for all submodules of (+)_i O/p^(a_i).
 
-    H is upper triangular with H[i][i] = p^(k_i) and canonical residues above
-    the diagonal; its column span contains diag(p^(a_i)) by construction.
-    `counter` is a single-cell list accumulating generated candidates, and
-    `row_ok(i, kvals, H)` may reject a branch right after row i is filled.
-    When `ksum_target` is set, only pivot vectors with that total are visited.
+    H is upper triangular with H[i][i] = p^(k_i) and H[i][m] reduced mod
+    p^(k_i) above the diagonal; its columns generate the submodule.  H is
+    filled column by column, left to right, and each column bottom-up: the
+    pivot H[m][m], then H[m-1][m], ..., H[0][m].  Containing p^(a_m) e_m is a
+    condition on column m alone: the solve c = cvec[m] of H c = p^(a_m) e_m is
+    supported on rows <= m, and its row-i equation
+    p^(k_i) c_i = -(H[i][i+1] c_(i+1) + ... + H[i][m] c_m) is a congruence on
+    H[i][m] mod p^(k_i) whose other terms are already set.  So the set of H
+    yielded is the canonical one, whatever the order of the entries.
+    `counter` is a single-cell list accumulating generated off-diagonal
+    entries, and `entry_ok(i, m, H)` may reject a branch right after H[i][m]
+    is set (i = m for the pivot).  When `ksum_target` is set, only pivot
+    vectors with that total are visited.
     """
     r = len(a)
     if r == 0:
         yield [], [], []
         return
-    prefix_max = [0] * (r + 1)
-    for i in range(r):
-        prefix_max[i + 1] = prefix_max[i] + a[i]
+    suffix_max = [0] * (r + 1)
+    for i in reversed(range(r)):
+        suffix_max[i] = suffix_max[i + 1] + a[i]
     H = [[(0, 0)] * r for _ in range(r)]
     kvals = [0] * r
-    # cvec[j] = solution c of H c = p^(a_j) e_j, filled for rows > i
-    cvec = [[None] * r for _ in range(r)]
+    cvec = [[(0, 0)] * r for _ in range(r)]
 
-    def fill_row(i, j, done):
-        """Enumerate H[i][j..] subject to the divisibility congruences."""
-        if j == r:
-            yield None
+    def entries(i, m):
+        """Enumerate H[i][m], ..., H[0][m], then the columns right of m."""
+        if i < 0:
+            yield from column(m + 1)
             return
+        c = cvec[m]
         pk = p ** kvals[i]
-        g = a[j] - kvals[j]
+        g = a[m] - kvals[m]
         pg = p**g
         s = (0, 0)
-        for l in range(i + 1, j + 1):
-            if l < j:
-                s = _padd(s, _pmul(H[i][l], cvec[j][l], eps))
-        # congruence: s + H[i][j] * p^g == 0 mod p^(k_i)
+        for l in range(i + 1, m):
+            s = _padd(s, _pmul(H[i][l], c[l], eps))
+        # congruence: s + H[i][m] * p^g == 0 mod p^(k_i)
         if g >= kvals[i]:
             if not _pdivides(pk, s):
                 return
             choices = [(x, y) for x in range(pk) for y in range(pk)]
-            base = None
         else:
             if not _pdivides(pg, s):
                 return
-            sred = (-(s[0] // pg), -(s[1] // pg))
             step = p ** (kvals[i] - g)
-            base = (sred[0] % step, sred[1] % step)
+            base = (-(s[0] // pg) % step, -(s[1] // pg) % step)
             choices = [(base[0] + step * x, base[1] + step * y) for x in range(pg) for y in range(pg)]
-        for c in choices:
+        for h in choices:
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceeded(f"submodule enumeration exceeded budget {budget}")
-            H[i][j] = c
-            yield from fill_row(i, j + 1, done)
+            H[i][m] = h
+            if entry_ok is not None and not entry_ok(i, m, H):
+                continue
+            c[i] = (-((s[0] + h[0] * pg) // pk), -((s[1] + h[1] * pg) // pk))
+            yield from entries(i - 1, m)
 
-    def descend(i):
-        if i < 0:
+    def column(m):
+        if m == r:
             yield None
             return
-        done = sum(kvals[i + 1 :])
-        for k in range(a[i] + 1):
+        done = sum(kvals[:m])
+        for k in range(a[m] + 1):
             if ksum_target is not None:
-                # rows 0..i-1 can still contribute at most prefix_max[i]
-                if done + k > ksum_target or done + k + prefix_max[i] < ksum_target:
+                # columns m+1.. can still contribute at most suffix_max[m + 1]
+                if done + k > ksum_target or done + k + suffix_max[m + 1] < ksum_target:
                     continue
-            kvals[i] = k
-            H[i][i] = (p**k, 0)
-            for j in range(i + 1, r):
-                H[i][j] = (0, 0)
-            for _ in fill_row(i, i + 1, None):
-                if row_ok is not None and not row_ok(i, kvals, H):
-                    continue
-                # row accepted: record the exact solves c^(j)_i for the rows above
-                pk = p**k
-                cvec[i][i] = (p ** (a[i] - k), 0)
-                for j in range(i + 1, r):
-                    s = (0, 0)
-                    for l in range(i + 1, j + 1):
-                        term = cvec[j][l] if l < j else (p ** (a[j] - kvals[j]), 0)
-                        s = _padd(s, _pmul(H[i][l], term, eps))
-                    assert _pdivides(pk, s)  # guaranteed by the row congruences
-                    cvec[j][i] = (-(s[0] // pk), -(s[1] // pk))
-                yield from descend(i - 1)
+            kvals[m] = k
+            H[m][m] = (p**k, 0)
+            cvec[m][m] = (p ** (a[m] - k), 0)
+            if entry_ok is not None and not entry_ok(m, m, H):
+                continue
+            yield from entries(m - 1, m)
 
-    for _ in descend(r - 1):
-        full_cvec = [[cvec[j][l] if l <= j else (0, 0) for l in range(r)] for j in range(r)]
-        yield list(kvals), [row[:] for row in H], full_cvec
+    for _ in column(0):
+        yield list(kvals), [row[:] for row in H], [row[:] for row in cvec]
 
 
 def _estimate(a, q):
@@ -210,10 +213,12 @@ def _unit_pair_mod(x, p, modulus):
 
 
 def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
-    """All lattices L' with L <= L' <= L^v, as (H, length, type, cyclic) with a
-    lazy builder.  The integrality and type filters run in modular integer
-    arithmetic: val(z) >= c is decided exactly by z mod p^c.  With
-    `val_target` set, only overlattices of that valuation are enumerated."""
+    """All integral lattices L' with L <= L' <= L^v, as records
+    (H, length, type, cyclic, Gram mod p) with a lazy builder.  The
+    integrality and type checks run in modular integer arithmetic, val(z) >= c
+    being decided exactly by z mod p^c, and integrality is checked entry by
+    entry while H is filled.  With `val_target` set, only overlattices of that
+    valuation are enumerated."""
     fld = L.field
     diag = L.orthogonal_basis()
     a = [int(diag.gram[i][i].valuation()) for i in range(diag.rank)]
@@ -241,30 +246,40 @@ def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
     ]
     counter = [0]
     out = []
+    # W = H^H diag(p^amax * gdiag) H mod p^(amax+1), integral iff W == 0 mod
+    # p^amax.  W[j][m] (j <= m) depends on columns j and m only, and row l
+    # adds conj(H[l][j]) V_l H[l][m], a multiple of p^(amax - a_l).  With a
+    # sorted, the rows above i add multiples of depth[i] = p^(amax - a_(i-1)),
+    # so once rows i..m of column m are set, rows i..j of every W[j][m] must
+    # vanish mod depth[i]; at i = 0 they are all of W[j][m], due mod p^amax.
+    depth = [pam] + [p ** (amax - a_sorted[i - 1]) for i in range(1, r)]
+    # acc[m][i][j]: the rows i..j of W[j][m]
+    acc = [[[(0, 0)] * r for _ in range(r)] for _ in range(r)]
+    gmodp = [[(0, 0)] * r for _ in range(r)]
 
-    def row_ok(i, kv, H):
-        # rows above row i contribute multiples of p^(amax - a_(i-1)) to every
-        # Gram entry, so the partial sums must already vanish to that depth
+    def entry_ok(i, m, H):
+        va, vb = vdiag[i]
+        hx, hy = H[i][m]
+        ta = va * hx + eps * vb * hy  # V_i H[i][m]
+        tb = va * hy + vb * hx
+        row, below, pt = acc[m][i], acc[m][i + 1] if i < m else None, depth[i]
+        for j in range(i, m + 1):
+            gx, gy = H[i][j]
+            wa = gx * ta - eps * gy * tb  # conj(H[i][j]) V_i H[i][m]
+            wb = gx * tb - gy * ta
+            if j > i:
+                wa += below[j][0]
+                wb += below[j][1]
+            wa %= mod
+            wb %= mod
+            if wa % pt or wb % pt:
+                return False
+            row[j] = (wa, wb)
         if i == 0:
-            return True
-        t = amax - a_sorted[i - 1]
-        if t <= 0:
-            return True
-        pt = p**t
-        for col_a in range(i, r):
-            for col_b in range(col_a, r):
-                wa = wb = 0
-                for l in range(i, col_a + 1):
-                    hx, hy = H[l][col_a]
-                    gx, gy = H[l][col_b]
-                    if (hx or hy) and (gx or gy):
-                        va, vb = vdiag[l]
-                        ta = hx * va + eps * (-hy) * vb
-                        tb = hx * vb + (-hy) * va
-                        wa += ta * gx + eps * tb * gy
-                        wb += ta * gy + tb * gx
-                if wa % pt or wb % pt:
-                    return False
+            for j in range(m + 1):
+                wa, wb = row[j]
+                gmodp[j][m] = (wa // pam, wb // pam)
+                gmodp[m][j] = (wa // pam, -(wb // pam) % p)
         return True
 
     ksum_target = None
@@ -272,42 +287,14 @@ def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
         if (sum(a_sorted) - val_target) % 2 != 0 or val_target > sum(a_sorted):
             return [], (lambda H: None), []
         ksum_target = (sum(a_sorted) + val_target) // 2
-    for kvals, H, cvec in _submodules(tuple(a_sorted), p, eps, budget, counter, row_ok, ksum_target):
-        # W = H^H diag(p^amax * gdiag) H mod p^(amax+1); integral iff W == 0 mod p^amax
-        integral = True
-        gmodp = [[(0, 0)] * r for _ in range(r)]
-        for i in range(r):
-            if not integral:
-                break
-            for j in range(i, r):
-                wa = wb = 0
-                for l in range(min(i, j) + 1):  # H is upper triangular
-                    hx, hy = H[l][i]
-                    gx, gy = H[l][j]
-                    if (hx or hy) and (gx or gy):
-                        # conj(H_li) * V_l * H_lj
-                        va, vb = vdiag[l]
-                        ca, cb = hx, -hy
-                        ta = ca * va + eps * cb * vb
-                        tb = ca * vb + cb * va
-                        wa += ta * gx + eps * tb * gy
-                        wb += ta * gy + tb * gx
-                wa %= mod
-                wb %= mod
-                if wa % pam or wb % pam:
-                    integral = False
-                    break
-                gmodp[i][j] = (wa // pam, wb // pam)
-                gmodp[j][i] = (wa // pam, (p - wb // pam) % p)
-        if not integral:
-            continue
+    for kvals, H, cvec in _submodules(tuple(a_sorted), p, eps, budget, counter, entry_ok, ksum_target):
         length = sum(a_sorted) - sum(kvals)
         # type: number of positive invariants = r - rank of the Gram mod p
         type_t = r - _pair_rank_mod_p(gmodp, p, eps)
         # cyclicity of L'/L: the columns of cvec express L in L'-coordinates,
         # so L'/L is cyclic iff cvec has rank >= r - 1 over the residue field
         cyclic = length <= 0 or (r - _pair_rank_mod_p([[cvec[j][i] for j in range(r)] for i in range(r)], p, eps)) <= 1
-        out.append((H, length, type_t, cyclic, gmodp))
+        out.append((H, length, type_t, cyclic, [row[:] for row in gmodp]))
 
     def build(H):
         Hf = [[fld.elem(H[i][j][0], H[i][j][1]) for j in range(r)] for i in range(r)]

@@ -242,7 +242,14 @@ def test_derived_den_cross_check_catches_a_disagreement(F3, monkeypatch):
     L = lattice_from_invariants(F3, (1, 2))
     den_poly(L)
     enumerate_profiles = overlattice_profiles
-    monkeypatch.setattr(density, "overlattice_profiles", lambda L, budget: enumerate_profiles(L, budget)[1:])
+
+    def drop_one(L, budget):
+        # a type-0 profile has derived weight 0, so drop one of positive type
+        profiles = enumerate_profiles(L, budget)
+        i = next(i for i, (_, type_t, _) in enumerate(profiles) if type_t > 0)
+        return profiles[:i] + profiles[i + 1 :]
+
+    monkeypatch.setattr(density, "overlattice_profiles", drop_one)
     with pytest.raises(HermSiegelError):
         derived_den(L)
     assert len(calls) == 1

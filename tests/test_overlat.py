@@ -1,12 +1,17 @@
 import pytest
 
 from conftest import random_lattice
+from hermsiegel import overlat
 from hermsiegel.errors import BudgetExceeded, NotContained
-from hermsiegel.lattice import flat_from_invariants, lattice_from_invariants
+from hermsiegel.lattice import flat_from_invariants, lattice_from_invariants, random_unimodular, rebased
 from hermsiegel.overlat import (
+    DEFAULT_BUDGET,
+    _overlattice_family,
+    _submodules,
     count_intermediate,
     cyclic_overlattices,
     integral_overlattices,
+    overlattice_profiles,
     submodule_count,
     vertex_overlattices,
 )
@@ -80,6 +85,88 @@ def test_submodule_count_matches_closed_formula(F3):
             got = submodule_count((a, b), 3, F3.eps)
             want = _subgroup_count_cyclic_pair(Q, a, b)
             assert got == want, (a, b, got, want)
+
+
+def _residue(x, p):
+    return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (x.a, x.b))
+
+
+def _unpruned_family(L):
+    """(H, length, type, Gram mod p, valuation) of every integral overlattice,
+    found by lifting every submodule H of L^v/L to a lattice and testing its
+    Gram matrix in field arithmetic; independent of the modular checks that
+    `_overlattice_family` makes while it fills H."""
+    fld = L.field
+    a = tuple(sorted(L.invariants().seq))
+    _, build, _ = _overlattice_family(L, DEFAULT_BUDGET)
+    out = []
+    for kvals, H, _ in _submodules(a, fld.p, fld.eps, DEFAULT_BUDGET, [0]):
+        lam = build(H)
+        if lam.is_integral():
+            # the family's Gram is conjugate-linear in its first index, the
+            # lattice's in its second
+            g = tuple(tuple(_residue(lam.gram[j][i], fld.p) for j in range(len(a))) for i in range(len(a)))
+            out.append((tuple(map(tuple, H)), sum(a) - sum(kvals), lam.type_t(), g, lam.val()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, invs",
+    [
+        (3, (1,)),
+        (3, (3,)),
+        (3, (0, 2)),
+        (3, (1, 1)),
+        (3, (2, 2)),
+        (3, (1, 3)),
+        (3, (3, 3)),
+        (3, (0, 1, 1)),
+        (3, (0, 0, 2)),
+        (3, (1, 1, 1)),
+        (3, (1, 1, 2)),
+        (3, (0, 2, 2)),
+        (3, (1, 2, 2)),
+        (3, (1, 2, 3)),
+        (5, (0, 3)),
+        (5, (1, 1)),
+        (5, (1, 2)),
+        (5, (2, 2)),
+        (5, (2, 3)),
+    ],
+)
+def test_family_matches_unpruned_search(p, invs, F3, F5, rng):
+    fld = {3: F3, 5: F5}[p]
+    L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
+    ref = _unpruned_family(L)
+    for val_target in [None, *range(sum(invs) + 1)]:
+        fam, _, _ = _overlattice_family(L, DEFAULT_BUDGET, val_target=val_target)
+        got = sorted((tuple(map(tuple, H)), length, type_t, tuple(map(tuple, g))) for H, length, type_t, _, g in fam)
+        want = sorted(row[:4] for row in ref if val_target in (None, row[4]))
+        assert got == want, (invs, val_target)
+
+
+def _candidates(monkeypatch, fld, invs):
+    """Submodule candidates generated by one overlattice enumeration."""
+    counters = []
+    enumerate_submodules = overlat._submodules
+
+    def recorded(a, p, eps, budget, counter, *args, **kwargs):
+        counters.append(counter)
+        return enumerate_submodules(a, p, eps, budget, counter, *args, **kwargs)
+
+    monkeypatch.setattr(overlat, "_submodules", recorded)
+    overlattice_profiles(lattice_from_invariants(fld, invs))
+    assert len(counters) == 1
+    return counters[0][0]
+
+
+def test_candidate_counts(F3, F5, monkeypatch):
+    # an entry is rejected as soon as the Gram block it completes is not
+    # integral; the search without that check generated 11,132, 24,319 and
+    # 10,225 candidates on these classes
+    assert _candidates(monkeypatch, F3, (1, 1, 1, 1)) == 3636
+    assert _candidates(monkeypatch, F3, (2, 2, 2)) == 16526
+    assert _candidates(monkeypatch, F5, (1, 2, 2)) == 5280
 
 
 def test_parity_preserved(F3, rng):
