@@ -326,7 +326,7 @@ def fourier_pden_perp(fp: FlatPair, budget: int = DEFAULT_BUDGET):
     for rec in cyclic_overlattices(Lf, budget):
         t_full += (1 - Fraction(1, q * q)) * rec.lattice.vol() * den_value(rec.lattice, -q, budget)
     t_h = Fraction(0)
-    for _, type_t, _ in overlattice_profiles(Lf, budget):
+    for _, type_t in overlattice_profiles(Lf, budget):
         if type_t == 0:
             t_h += 1
         elif type_t == 1:

@@ -230,7 +230,7 @@ def _class_entry(fld, invs: tuple, member, budget) -> _ClassEntry:
     if entry is None:
         counts = {}
         if all(a >= 0 for a in invs):
-            for length, type_t, _ in overlattice_profiles(member(), budget):
+            for length, type_t in overlattice_profiles(member(), budget):
                 counts[length, type_t] = counts.get((length, type_t), 0) + 1
         hist = tuple(sorted(counts.items()))
         acc = []
@@ -271,7 +271,7 @@ def derived_den(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> Fraction:
     if entry.derivative is None:
         q = L.field.q
         via_poly = -entry.poly.derivative_at_one()
-        via_weights = sum(weight_m_der(type_t, q) for _, type_t, _ in overlattice_profiles(L, budget))
+        via_weights = sum(weight_m_der(type_t, q) for _, type_t in overlattice_profiles(L, budget))
         if via_poly != via_weights:
             raise HermSiegelError("internal disagreement between derivative paths")
         entry.derivative = Fraction(via_weights)

@@ -128,7 +128,7 @@ def horizontal_degree(Lflat: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> F
         raise PreconditionViolated("flat must be integral")
     q = Lflat.field.q
     total = Fraction(0)
-    for length, type_t, _ in overlattice_profiles(Lflat, budget):
+    for length, type_t in overlattice_profiles(Lflat, budget):
         if type_t == 0:
             total += 1
         elif type_t == 1:

@@ -11,13 +11,22 @@ Gram of the dual basis scaled by p^(a_(r-1)), vanishes mod p^(a_(r-1)).
 Because H is upper triangular, W[j][m] for j <= m depends on columns j and m
 only, so a candidate is rejected as soon as a column makes its Gram block
 non-integral, and inside a column as soon as the rows set so far fix a
-non-zero residue of W (see `_overlattice_family`).  Both checks are exact:
+non-zero residue of W (see `_overlattice_search`).  Both checks are exact:
 the enumeration yields the same set as lifting every submodule and testing
 its integrality.
+
+Each integral overlattice costs one rank over the residue field F_(q^2), read
+off arithmetic tables: its type is r minus the rank of its Gram mod p.  The
+search streams the overlattices; `overlattice_profiles` keeps only their
+(length, type) pairs, which is all the density sums need.  The records of
+`_overlattice_family` also keep H and the Gram mod p, and pay a second rank
+for the cyclicity of L'/L, which only `integral_overlattices` and
+`cyclic_overlattices` report.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +73,9 @@ def _pdivides(pk, u):
 
 
 def _submodules(a, p, eps, budget, counter, entry_ok=None, ksum_target=None):
-    """Yield (kvals, H, cvec) for all submodules of (+)_i O/p^(a_i).
+    """Yield (kvals, H, cvec) for all submodules of (+)_i O/p^(a_i).  The
+    lists are live: the next step of the search overwrites them, so a caller
+    copies what it keeps.
 
     H is upper triangular with H[i][i] = p^(k_i) and H[i][m] reduced mod
     p^(k_i) above the diagonal; its columns generate the submodule.  H is
@@ -142,7 +153,7 @@ def _submodules(a, p, eps, budget, counter, entry_ok=None, ksum_target=None):
             yield from entries(m - 1, m)
 
     for _ in column(0):
-        yield list(kvals), [row[:] for row in H], [row[:] for row in cvec]
+        yield kvals, H, cvec
 
 
 def _estimate(a, q):
@@ -168,39 +179,72 @@ def submodule_count(a, p, eps, budget=DEFAULT_BUDGET) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lifting submodules to lattices
+# rank over the residue field
+
+
+@functools.cache
+def _residue_tables(p, eps):
+    """Arithmetic tables of the residue field F_(q^2) = F_p[t]/(t^2 - eps).
+
+    An element x + y*t is coded as x + 2p*y (0 <= x, y < p), so the sum of two
+    codes carries no digit and `red` reduces it back to a code.  Products go
+    through discrete logarithms to a generator g: `log[c]` for a code, and
+    `nexp[k]` = the code of -g^k for k < 3n (n = q^2 - 1).  Zero has the
+    logarithm 3n, and `nexp` reads 0 from index 3n on, so u - f*v/w is
+    red[u + nexp[log f + (n - log w) + log v]] without a branch for zero.
+    Every table has O(q^2) entries."""
+    P = 2 * p
+    n = p * p - 1
+
+    def code(x, y):
+        return x % p + P * (y % p)
+
+    for g in ((x, y) for y in range(p) for x in range(p) if x or y):
+        powers = [(1, 0)]
+        for _ in range(n - 1):
+            x, y = _pmul(powers[-1], g, eps)
+            powers.append((x % p, y % p))
+        if (1, 0) not in powers[1:]:  # g has order n
+            break
+    log = [3 * n] * (P * p)
+    for k, (x, y) in enumerate(powers):
+        log[code(x, y)] = k
+    nexp = [code(-x, -y) for x, y in powers] * 3 + [0] * (2 * n)
+    red = [code(c % P, c // P) for c in range(P * P)]
+    return P, n, log, nexp, red
 
 
 def _pair_rank_mod_p(rows, p, eps):
-    """Rank over the residue field F_(q^2) of a matrix of integer pairs."""
-    M = [[(x[0] % p, x[1] % p) for x in row] for row in rows]
-    n = len(M)
-    m = len(M[0]) if n else 0
+    """Rank over the residue field F_(q^2) of a matrix of integer pairs.
+
+    Forward elimination below each pivot, on the codes of
+    `_residue_tables`."""
+    P, n, log, nexp, red = _residue_tables(p, eps)
+    M = [[x % p + P * (y % p) for x, y in row] for row in rows]
+    nrows = len(M)
     rank = 0
-    for c in range(m):
-        piv = None
-        for r in range(rank, n):
-            if M[r][c] != (0, 0):
-                piv = r
+    for c in range(len(M[0]) if nrows else 0):
+        for piv in range(rank, nrows):
+            if M[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        x, y = M[rank][c]
-        nrm = (x * x - eps * y * y) % p
-        inv = pow(nrm, -1, p)
-        cinv = ((x * inv) % p, (-y * inv) % p)
-        M[rank] = [_pmod(_pmul(cinv, u, eps), p) for u in M[rank]]
-        for r in range(n):
-            if r != rank and M[r][c] != (0, 0):
-                f = M[r][c]
-                M[r] = [_pmod((u[0] - f[0] * v[0] - eps * f[1] * v[1], u[1] - f[0] * v[1] - f[1] * v[0]), p) for u, v in zip(M[r], M[rank])]
+        prow = M[piv]
+        M[piv] = M[rank]
+        M[rank] = prow
+        ilog = n - log[prow[c]]  # log of the pivot's inverse
+        lp = [log[v] for v in prow[c + 1 :]]
+        for i in range(rank + 1, nrows):
+            row = M[i]
+            if row[c]:
+                lf = log[row[c]] + ilog
+                row[c + 1 :] = [red[u + nexp[lf + lv]] for u, lv in zip(row[c + 1 :], lp)]
         rank += 1
     return rank
 
 
-def _pmod(u, p):
-    return (u[0] % p, u[1] % p)
+# ---------------------------------------------------------------------------
+# lifting submodules to lattices
 
 
 def _unit_pair_mod(x, p, modulus):
@@ -212,13 +256,18 @@ def _unit_pair_mod(x, p, modulus):
     return (na * pow(da % modulus, -1, modulus) % modulus, nb * pow(db % modulus, -1, modulus) % modulus)
 
 
-def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
-    """All integral lattices L' with L <= L' <= L^v, as records
-    (H, length, type, cyclic, Gram mod p) with a lazy builder.  The
+def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
+    """Set up the search for the integral lattices L' with L <= L' <= L^v.
+
+    Returns (search, build, dual_cols): `search` yields (length, type, H, cvec,
+    Gram mod p) per overlattice, with H, cvec and the Gram live (overwritten
+    by the next step, see `_submodules`), `build(H)` lifts H to the lattice,
+    and dual_cols are the dual-basis columns H is written in.  The
     integrality and type checks run in modular integer arithmetic, val(z) >= c
     being decided exactly by z mod p^c, and integrality is checked entry by
     entry while H is filled.  With `val_target` set, only overlattices of that
-    valuation are enumerated."""
+    valuation are enumerated.  The estimate gate refuses a search before it
+    starts."""
     fld = L.field
     diag = L.orthogonal_basis()
     a = [int(diag.gram[i][i].valuation()) for i in range(diag.rank)]
@@ -244,8 +293,20 @@ def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
         tuple(c * p ** (amax - a_sorted[l]) % mod for c in _unit_pair_mod(units[l], p, mod))
         for l in range(r)
     ]
-    counter = [0]
-    out = []
+
+    def build(H):
+        Hf = [[fld.elem(H[i][j][0], H[i][j][1]) for j in range(r)] for i in range(r)]
+        basis = mat(
+            [[sum((dual_cols[l][i] * Hf[l][j] for l in range(r)), start=fld.zero) for j in range(r)] for i in range(L.dim)]
+        )
+        return EmbeddedLattice(L.space, basis, _check=False)
+
+    ksum_target = None
+    if val_target is not None:
+        if (sum(a_sorted) - val_target) % 2 != 0 or val_target > sum(a_sorted):
+            return iter(()), build, dual_cols
+        ksum_target = (sum(a_sorted) + val_target) // 2
+
     # W = H^H diag(p^amax * gdiag) H mod p^(amax+1), integral iff W == 0 mod
     # p^amax.  W[j][m] (j <= m) depends on columns j and m only, and row l
     # adds conj(H[l][j]) V_l H[l][m], a multiple of p^(amax - a_l).  With a
@@ -263,7 +324,8 @@ def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
         ta = va * hx + eps * vb * hy  # V_i H[i][m]
         tb = va * hy + vb * hx
         row, below, pt = acc[m][i], acc[m][i + 1] if i < m else None, depth[i]
-        for j in range(i, m + 1):
+        # the norm entry W[m][m] first: it rejects most candidates
+        for j in range(m, i - 1, -1):
             gx, gy = H[i][j]
             wa = gx * ta - eps * gy * tb  # conj(H[i][j]) V_i H[i][m]
             wb = gx * tb - gy * ta
@@ -282,35 +344,36 @@ def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
                 gmodp[m][j] = (wa // pam, -(wb // pam) % p)
         return True
 
-    ksum_target = None
-    if val_target is not None:
-        if (sum(a_sorted) - val_target) % 2 != 0 or val_target > sum(a_sorted):
-            return [], (lambda H: None), []
-        ksum_target = (sum(a_sorted) + val_target) // 2
-    for kvals, H, cvec in _submodules(tuple(a_sorted), p, eps, budget, counter, entry_ok, ksum_target):
-        length = sum(a_sorted) - sum(kvals)
-        # type: number of positive invariants = r - rank of the Gram mod p
-        type_t = r - _pair_rank_mod_p(gmodp, p, eps)
-        # cyclicity of L'/L: the columns of cvec express L in L'-coordinates,
-        # so L'/L is cyclic iff cvec has rank >= r - 1 over the residue field
-        cyclic = length <= 0 or (r - _pair_rank_mod_p([[cvec[j][i] for j in range(r)] for i in range(r)], p, eps)) <= 1
-        out.append((H, length, type_t, cyclic, [row[:] for row in gmodp]))
+    def search():
+        total = sum(a_sorted)
+        for kvals, H, cvec in _submodules(tuple(a_sorted), p, eps, budget, [0], entry_ok, ksum_target):
+            # type: number of positive invariants = r - rank of the Gram mod p
+            yield total - sum(kvals), r - _pair_rank_mod_p(gmodp, p, eps), H, cvec, gmodp
 
-    def build(H):
-        Hf = [[fld.elem(H[i][j][0], H[i][j][1]) for j in range(r)] for i in range(r)]
-        basis = mat(
-            [[sum((dual_cols[l][i] * Hf[l][j] for l in range(r)), start=fld.zero) for j in range(r)] for i in range(L.dim)]
-        )
-        return EmbeddedLattice(L.space, basis, _check=False)
+    return search(), build, dual_cols
 
+
+def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
+    """All integral lattices L' with L <= L' <= L^v, as records
+    (H, length, type, cyclic, Gram mod p) with a lazy builder and the
+    dual-basis columns; see `_overlattice_search`."""
+    search, build, dual_cols = _overlattice_search(L, budget, val_target)
+    p, eps, r = L.field.p, L.field.eps, L.rank
+    out = []
+    for length, type_t, H, cvec, gmodp in search:
+        # cyclicity of L'/L: the vectors cvec[m] express L in L'-coordinates,
+        # so L'/L is cyclic iff they have rank >= r - 1 over the residue field
+        cyclic = length <= 0 or r - _pair_rank_mod_p(cvec, p, eps) <= 1
+        out.append(([row[:] for row in H], length, type_t, cyclic, [row[:] for row in gmodp]))
     return out, build, dual_cols
 
 
 def overlattice_profiles(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
-    """(length, type, cyclic) triples of all integral overlattices, without
-    constructing the lattices; this is what the density sums consume."""
-    fam, _, _ = _overlattice_family(L, budget)
-    return [(length, type_t, cyclic) for _, length, type_t, cyclic, _ in fam]
+    """(length, type) pairs of all integral overlattices, without
+    constructing the lattices or keeping their matrices; this is what the
+    density sums consume."""
+    search, _, _ = _overlattice_search(L, budget)
+    return [(length, type_t) for length, type_t, _, _, _ in search]
 
 
 def integral_overlattices(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
@@ -382,8 +445,8 @@ def vertex_overlattices(Lflat: EmbeddedLattice, t: int, budget: int = DEFAULT_BU
         if cand.rank != n or not cand.is_integral():
             continue
         # vertex lattices of type t have valuation t, which pins the pivot sum
-        fam, build, _ = _overlattice_family(cand, budget, val_target=t)
-        for H, length, type_t, cyclic, _ in fam:
+        search, build, _ = _overlattice_search(cand, budget, val_target=t)
+        for _, type_t, H, _, _ in search:
             if type_t != t:
                 continue
             lam = build(H)

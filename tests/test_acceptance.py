@@ -221,13 +221,13 @@ def test_ac10_special_values():
     for invs in _grid(3, 6):
         L = lattice_from_invariants(fld, invs)
         profiles = overlattice_profiles(L)
-        selfdual = sum(1 for _, t, _ in profiles if t == 0)
+        selfdual = sum(1 for _, t in profiles if t == 0)
         ok = ok and den_central(L) == selfdual
         dmq = den_value(L, -q)
-        ok = ok and dmq == sum(q ** (2 * length) * weight_m_der(t + 1, q) for length, t, _ in profiles)
+        ok = ok and dmq == sum(q ** (2 * length) * weight_m_der(t + 1, q) for length, t in profiles)
         lhs = den_value(L, Fraction(-1, q)) / L.vol()
         rhs = Fraction(0)
-        for length, t, _ in profiles:
+        for length, t in profiles:
             if t == 0:
                 rhs += 1
             elif t == 1:

@@ -50,6 +50,18 @@ def test_overlat_list(capsys):
     assert len(recs) == 4 and all(r["type"] == 0 for r in recs)
 
 
+def test_overlat_list_cyclic(capsys):
+    # (2,2) has a non-cyclic overlattice, p^-1 L, whose quotient is (O/p)^2
+    rc, out = run(capsys, "overlat", "list", "--inv", "2,2", "--p", "3")
+    assert rc == 0
+    recs = json.loads(out)
+    rc, out = run(capsys, "overlat", "list", "--inv", "2,2", "--p", "3", "--cyclic")
+    assert rc == 0
+    cyclic = json.loads(out)
+    assert cyclic == [r for r in recs if r["cyclic"]]
+    assert 0 < len(cyclic) < len(recs)
+
+
 def test_decomp_eval(capsys):
     rc, out = run(capsys, "decomp", "eval", "--flat-inv", "0", "--nonsplit", "--x-val", "1", "--p", "3")
     assert rc == 0

@@ -176,7 +176,7 @@ def test_den_lambda_selfdual(F3):
 
 
 def _histogram(L):
-    return Counter((length, type_t) for length, type_t, _ in overlattice_profiles(L))
+    return Counter((length, type_t) for length, type_t in overlattice_profiles(L))
 
 
 def test_invariant_dependence(F3, F5, rng):
@@ -246,7 +246,7 @@ def test_derived_den_cross_check_catches_a_disagreement(F3, monkeypatch):
     def drop_one(L, budget):
         # a type-0 profile has derived weight 0, so drop one of positive type
         profiles = enumerate_profiles(L, budget)
-        i = next(i for i, (_, type_t, _) in enumerate(profiles) if type_t > 0)
+        i = next(i for i, (_, type_t) in enumerate(profiles) if type_t > 0)
         return profiles[:i] + profiles[i + 1 :]
 
     monkeypatch.setattr(density, "overlattice_profiles", drop_one)
@@ -273,7 +273,7 @@ def test_den_lambda_hit_skips_the_extension(F3, monkeypatch):
 def test_weighted_sum_full_reads_the_class_histogram(F3, F5, rng):
     for fld, invs in ((F3, (2,)), (F3, (1, 2)), (F3, (0, 2, 2)), (F3, (1, 1, 3)), (F5, (1, 1)), (F5, (0, 3))):
         L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
-        direct = sum(weight_m_der(t, fld.q) for _, t, _ in overlattice_profiles(L))
+        direct = sum(weight_m_der(t, fld.q) for _, t in overlattice_profiles(L))
         assert _weighted_sum_full(L, DEFAULT_BUDGET) == direct
         if sum(invs) % 2:
             assert direct == derived_den(L)

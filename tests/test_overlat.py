@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
 from conftest import random_lattice
 from hermsiegel import overlat
 from hermsiegel.errors import BudgetExceeded, NotContained
-from hermsiegel.lattice import flat_from_invariants, lattice_from_invariants, random_unimodular, rebased
+from hermsiegel.lattice import flat_from_invariants, lattice_from_invariants, quotient_divisors, random_unimodular, rebased
 from hermsiegel.overlat import (
     DEFAULT_BUDGET,
     _overlattice_family,
+    _pair_rank_mod_p,
     _submodules,
     count_intermediate,
     cyclic_overlattices,
@@ -167,6 +170,88 @@ def test_candidate_counts(F3, F5, monkeypatch):
     assert _candidates(monkeypatch, F3, (1, 1, 1, 1)) == 3636
     assert _candidates(monkeypatch, F3, (2, 2, 2)) == 16526
     assert _candidates(monkeypatch, F5, (1, 2, 2)) == 5280
+
+
+def test_profiles_rank_once_per_overlattice(F3, monkeypatch):
+    # the type costs one rank per integral overlattice; the density sums do
+    # not read the cyclicity, so the profiles pay no second rank for it
+    calls = []
+    rank = overlat._pair_rank_mod_p
+
+    def counted(rows, p, eps):
+        calls.append(len(rows))
+        return rank(rows, p, eps)
+
+    monkeypatch.setattr(overlat, "_pair_rank_mod_p", counted)
+    profiles = overlattice_profiles(lattice_from_invariants(F3, (1, 1, 1, 1)))
+    assert len(profiles) == 393
+    assert len(calls) == 393
+
+
+def _kernel_size(M, p, eps):
+    """Number of vectors v over F_(q^2) with M v = 0, by enumeration."""
+    elems = [(x, y) for x in range(p) for y in range(p)]
+    count = 0
+    for v in itertools.product(elems, repeat=len(M[0])):
+        for row in M:
+            sa = sum(u[0] * w[0] + eps * u[1] * w[1] for u, w in zip(row, v))
+            sb = sum(u[0] * w[1] + u[1] * w[0] for u, w in zip(row, v))
+            if sa % p or sb % p:
+                break
+        else:
+            count += 1
+    return count
+
+
+def _random_pair_matrix(n, m, p, rng):
+    return [[(rng.randint(-2 * p, 2 * p), rng.randint(-2 * p, 2 * p)) for _ in range(m)] for _ in range(n)]
+
+
+def _hermitian_pair_matrix(n, p, rng):
+    M = _random_pair_matrix(n, n, p, rng)
+    for i in range(n):
+        M[i][i] = (M[i][i][0], p * M[i][i][1])
+        for j in range(i):
+            M[i][j] = (M[j][i][0], -M[j][i][1])
+    return M
+
+
+def _deficient_pair_matrix(n, k, p, eps, rng):
+    """A product of n x k and k x n matrices, so of rank at most k."""
+    A, B = _random_pair_matrix(n, k, p, rng), _random_pair_matrix(k, n, p, rng)
+    return [
+        [
+            (
+                sum(A[i][l][0] * B[l][j][0] + eps * A[i][l][1] * B[l][j][1] for l in range(k)),
+                sum(A[i][l][0] * B[l][j][1] + A[i][l][1] * B[l][j][0] for l in range(k)),
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("p, max_n", [(3, 3), (5, 2)])
+def test_pair_rank_matches_kernel_count(p, max_n, F3, F5, rng):
+    # a matrix has rank rho iff its kernel has q^(2(n - rho)) vectors
+    eps = {3: F3, 5: F5}[p].eps
+    for n in range(1, max_n + 1):
+        for _ in range(8):
+            for M in (
+                _random_pair_matrix(n, n, p, rng),
+                _hermitian_pair_matrix(n, p, rng),
+                _deficient_pair_matrix(n, rng.randrange(n), p, eps, rng),
+            ):
+                assert _kernel_size(M, p, eps) == p ** (2 * (n - _pair_rank_mod_p(M, p, eps))), M
+
+
+@pytest.mark.parametrize("p, invs", [(3, (2, 2)), (3, (1, 1, 2)), (3, (0, 2, 2)), (3, (1, 3)), (5, (2, 2)), (5, (1, 1, 2))])
+def test_cyclic_flag_matches_quotient_divisors(p, invs, F3, F5, rng):
+    # L'/L is cyclic iff at most one of its elementary divisors is positive
+    fld = {3: F3, 5: F5}[p]
+    L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
+    for rec in integral_overlattices(L):
+        assert rec.cyclic_flag == (sum(1 for d in quotient_divisors(L, rec.lattice) if d > 0) <= 1)
 
 
 def test_parity_preserved(F3, rng):
