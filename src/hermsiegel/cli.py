@@ -34,6 +34,16 @@ def _fr(x) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not JSON: {exc}") from exc
+
+
 def _parse_inv(text):
     try:
         return tuple(int(t) for t in text.replace(",", " ").split())
@@ -43,11 +53,9 @@ def _parse_inv(text):
 
 def _load_lattice(args, cfg) -> EmbeddedLattice:
     if getattr(args, "lattice", None):
-        with open(args.lattice) as fh:
-            return lattice_from_json(json.load(fh))
+        return lattice_from_json(_read_json(args.lattice))
     if getattr(args, "gram", None):
-        with open(args.gram) as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.gram)
         fld = field(cfg.p, cfg.eps)
         from .lattice import HermSpace, mat, mident
 
@@ -67,8 +75,7 @@ def _load_lattice(args, cfg) -> EmbeddedLattice:
 
 def _load_flat(args, cfg):
     if getattr(args, "flat", None):
-        with open(args.flat) as fh:
-            L = lattice_from_json(json.load(fh))
+        L = lattice_from_json(_read_json(args.flat))
         from .decomp import perp_generator
 
         return L, perp_generator(L)
@@ -81,8 +88,7 @@ def _load_flat(args, cfg):
 
 def _load_vector(args, space):
     if getattr(args, "x", None):
-        with open(args.x) as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.x)
         fld = space.params
         return tuple(FElem.from_json(fld, c) for c in obj)
     raise UsageError("provide --x FILE")
@@ -118,7 +124,10 @@ def cmd_den(args, cfg):
         val = density.derived_den_lambda(L, budget) if args.almost_self_dual else density.derived_den(L, budget)
         print(json.dumps({"derived": _fr(val)}) if args.json else _fr(val))
     elif args.what == "value":
-        x = Fraction(args.at)
+        try:
+            x = Fraction(args.at)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --at value {args.at!r}") from exc
         val = pol(x)
         print(json.dumps({"value": _fr(val), "at": _fr(x)}) if args.json else _fr(val))
     return 0
@@ -192,8 +201,7 @@ def cmd_decomp(args, cfg):
 
 def cmd_schwartz(args, cfg):
     if getattr(args, "lam", None):
-        with open(args.lam) as fh:
-            Lam = lattice_from_json(json.load(fh))
+        Lam = lattice_from_json(_read_json(args.lam))
     else:
         fld = field(cfg.p, cfg.eps)
         n = args.dim
@@ -231,8 +239,7 @@ def cmd_kr(args, cfg):
 
 
 def cmd_kr_table(args, cfg):
-    with open(args.inv_grid) as fh:
-        spec = json.load(fh)
+    spec = _read_json(args.inv_grid)
     fld = field(cfg.p, cfg.eps)
     rows = []
     for invs in spec["invariants"]:

@@ -38,7 +38,7 @@ from .overlat import (
     overlattice_profiles,
 )
 from .density import den_value, overlattice_histogram, weight_m_der
-from .ring import norm_solve
+from .ring import norm_solve, reduce
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,8 @@ def _section_weighted_sum(Lflat: EmbeddedLattice, L: EmbeddedLattice, budget) ->
     B = m0 + amax + 4
     modB = p**B
 
-    def _as_pair(x):
-        na, da = x.a.numerator, x.a.denominator
-        nb, db = x.b.numerator, x.b.denominator
-        return (na * pow(da % modB, -1, modB) % modB, nb * pow(db % modB, -1, modB) % modB)
-
     pm0 = fld.elem(Fraction(p) ** m0)
-    phiDint = [_as_pair(pm0 * x) for x in phiD]
+    phiDint = [(r.a, r.b) for r in (reduce(pm0 * x, B) for x in phiD)]
     total = 0
     for H, length, type_t, cyclic, gmodp in fam:
         rho = []

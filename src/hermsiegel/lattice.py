@@ -218,7 +218,7 @@ class HermSpace:
         return HermSpace(self.params, mscale(c, self.gram))
 
     def __hash__(self):
-        return hash((self.params, tuple(tuple((x.a, x.b) for x in row) for row in self.gram)))
+        return hash((self.params, tuple(tuple((x.n, x.m, x.d) for x in row) for row in self.gram)))
 
 
 def standard_space(kind: str, n: int, fld: Field) -> HermSpace:
@@ -390,7 +390,7 @@ class EmbeddedLattice:
         k = self._cache.get("key")
         if k is None:
             h = self.hnf()
-            k = tuple(tuple((x.a, x.b) for x in row) for row in h.basis)
+            k = tuple(tuple((x.n, x.m, x.d) for x in row) for row in h.basis)
             self._cache["key"] = k
         return k
 
@@ -463,8 +463,8 @@ class EmbeddedLattice:
             if bv == INF:
                 raise DegenerateLattice("gram matrix is singular")
             if bi != bj:
-                m = G[bi][bj]
-                u = fld.one if val_p(m.a, fld.p) <= val_p(m.b, fld.p) else fld.t
+                g = G[bi][bj]
+                u = fld.one if val_p(g.n, fld.p) <= val_p(g.m, fld.p) else fld.t
                 add_col(bi, bj, u)
                 assert G[bi][bi].valuation() == bv
             if bi != step:

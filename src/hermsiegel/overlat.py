@@ -38,6 +38,7 @@ from .lattice import (
     perp_line,
     quotient_divisors,
 )
+from .ring import reduce
 
 # candidate budget: the largest acceptance instance, diag(p^4, p^4, p) at
 # q = 5, generates 653,457 submodule candidates, so the default leaves ample room
@@ -182,6 +183,51 @@ def submodule_count(a, p, eps, budget=DEFAULT_BUDGET) -> int:
 # rank over the residue field
 
 
+# the log/antilog tables of F_(q^2) have 11 q^2 - 5 entries; above this many,
+# a rank is taken by plain elimination (p = 953 is the largest prime below)
+_TABLE_CAP = 10**7
+
+
+def _ppow(g, e, p, eps):
+    """g^e in F_(q^2), by squaring."""
+    acc = (1, 0)
+    while e:
+        if e & 1:
+            acc = _pmul(acc, g, eps)
+            acc = (acc[0] % p, acc[1] % p)
+        g = _pmul(g, g, eps)
+        g = (g[0] % p, g[1] % p)
+        e >>= 1
+    return acc
+
+
+def _prime_factors(n):
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _residue_generator(p, eps):
+    """The first generator x + y*t of F_(q^2)^x, trying y = 1, 2, ... and
+    x = 0, 1, ... in turn: g generates iff g^(n/r) != 1 for every prime r
+    dividing n = q^2 - 1.  Candidates with y = 0 lie in F_p^x, whose order
+    p - 1 is smaller than n, so none of them is tried."""
+    n = p * p - 1
+    cofactors = [n // r for r in _prime_factors(n)]
+    for y in range(1, p):
+        for x in range(p):
+            if all(_ppow((x, y), c, p, eps) != (1, 0) for c in cofactors):
+                return x, y
+    raise AssertionError(f"F_({p}^2)^x has no generator")
+
+
 @functools.cache
 def _residue_tables(p, eps):
     """Arithmetic tables of the residue field F_(q^2) = F_p[t]/(t^2 - eps).
@@ -192,20 +238,18 @@ def _residue_tables(p, eps):
     `nexp[k]` = the code of -g^k for k < 3n (n = q^2 - 1).  Zero has the
     logarithm 3n, and `nexp` reads 0 from index 3n on, so u - f*v/w is
     red[u + nexp[log f + (n - log w) + log v]] without a branch for zero.
-    Every table has O(q^2) entries."""
+    Every table has O(q^2) entries, 11 q^2 - 5 in all."""
     P = 2 * p
     n = p * p - 1
 
     def code(x, y):
         return x % p + P * (y % p)
 
-    for g in ((x, y) for y in range(p) for x in range(p) if x or y):
-        powers = [(1, 0)]
-        for _ in range(n - 1):
-            x, y = _pmul(powers[-1], g, eps)
-            powers.append((x % p, y % p))
-        if (1, 0) not in powers[1:]:  # g has order n
-            break
+    g = _residue_generator(p, eps)
+    powers = [(1, 0)]
+    for _ in range(n - 1):
+        x, y = _pmul(powers[-1], g, eps)
+        powers.append((x % p, y % p))
     log = [3 * n] * (P * p)
     for k, (x, y) in enumerate(powers):
         log[code(x, y)] = k
@@ -217,8 +261,11 @@ def _residue_tables(p, eps):
 def _pair_rank_mod_p(rows, p, eps):
     """Rank over the residue field F_(q^2) of a matrix of integer pairs.
 
-    Forward elimination below each pivot, on the codes of
-    `_residue_tables`."""
+    Forward elimination below each pivot, on the codes of `_residue_tables`
+    while those fit under `_TABLE_CAP`, and in plain pair arithmetic mod p
+    above it."""
+    if 11 * p * p - 5 > _TABLE_CAP:
+        return _pair_rank_plain(rows, p, eps)
     P, n, log, nexp, red = _residue_tables(p, eps)
     M = [[x % p + P * (y % p) for x, y in row] for row in rows]
     nrows = len(M)
@@ -243,17 +290,38 @@ def _pair_rank_mod_p(rows, p, eps):
     return rank
 
 
+def _pair_rank_plain(rows, p, eps):
+    """`_pair_rank_mod_p` without tables: the pivot x + y*t is inverted as
+    (x - y*t) / (x^2 - eps*y^2) mod p."""
+    M = [[(x % p, y % p) for x, y in row] for row in rows]
+    nrows = len(M)
+    rank = 0
+    for c in range(len(M[0]) if nrows else 0):
+        for piv in range(rank, nrows):
+            if M[piv][c] != (0, 0):
+                break
+        else:
+            continue
+        prow = M[piv]
+        M[piv] = M[rank]
+        M[rank] = prow
+        x, y = prow[c]
+        ninv = pow((x * x - eps * y * y) % p, -1, p)
+        pinv = (x * ninv % p, -y * ninv % p)
+        for i in range(rank + 1, nrows):
+            row = M[i]
+            if row[c] != (0, 0):
+                f = _pmul(row[c], pinv, eps)
+                row[c + 1 :] = [
+                    ((u[0] - w[0]) % p, (u[1] - w[1]) % p)
+                    for u, w in zip(row[c + 1 :], (_pmul(f, v, eps) for v in prow[c + 1 :]))
+                ]
+        rank += 1
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # lifting submodules to lattices
-
-
-def _unit_pair_mod(x, p, modulus):
-    """Integer-pair residue of a p-integral field element mod p^k."""
-    if modulus == 1:
-        return (0, 0)
-    na, da = x.a.numerator, x.a.denominator
-    nb, db = x.b.numerator, x.b.denominator
-    return (na * pow(da % modulus, -1, modulus) % modulus, nb * pow(db % modulus, -1, modulus) % modulus)
 
 
 def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
@@ -289,10 +357,10 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     dual_cols = [tuple(scales[i] * x for x in cols[i]) for i in range(r)]
     units = [diag.gram[order[i]][order[i]] * fld.elem(Fraction(1, fld.p ** a_sorted[i])) for i in range(r)]
     # scaled diagonal p^(amax) * gdiag_l = p^(amax - a_l) * unit_l, mod p^(amax+1)
-    vdiag = [
-        tuple(c * p ** (amax - a_sorted[l]) % mod for c in _unit_pair_mod(units[l], p, mod))
-        for l in range(r)
-    ]
+    vdiag = []
+    for l in range(r):
+        u = reduce(units[l], amax + 1)
+        vdiag.append((u.a * p ** (amax - a_sorted[l]) % mod, u.b * p ** (amax - a_sorted[l]) % mod))
 
     def build(H):
         Hf = [[fld.elem(H[i][j][0], H[i][j][1]) for j in range(r)] for i in range(r)]

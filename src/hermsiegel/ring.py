@@ -1,10 +1,12 @@
 """Exact arithmetic in F0 = Q_p (p odd), F = F0(t) with t^2 = eps, and O_F/p^k.
 
-Elements of F are pairs of exact rationals (a, b) standing for a + b*t,
-i.e. the subfield Q(t) sitting densely in F; every prime other than p is a
-unit, so p-adic valuations and residue reductions are exact.  Conjugation
-sends t to -t.  The extension is unramified, so p itself is a uniformizer
-of F and val(a + b*t) = min(val_p(a), val_p(b)).
+Elements of F are a + b*t with a, b exact rationals, i.e. the subfield Q(t)
+sitting densely in F; every prime other than p is a unit, so p-adic
+valuations and residue reductions are exact.  An element is kept as one
+integer triple (n, m, d) over the least common denominator, a = n/d and
+b = m/d, which is canonical, so arithmetic is integer arithmetic with one
+gcd per result.  Conjugation sends t to -t.  The extension is unramified, so
+p itself is a uniformizer of F and val(a + b*t) = min(val_p(a), val_p(b)).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def val_p(r: Fraction | int, p: int):
     """p-adic valuation of a rational, +inf for 0."""
     if r == 0:
         return INF
-    r = Fraction(r)
+    if not isinstance(r, int):
+        r = Fraction(r)
     v = 0
     num, den = r.numerator, r.denominator
     while num % p == 0:
@@ -77,7 +80,9 @@ class Field:
         return self.p
 
     def elem(self, a, b=0) -> "FElem":
-        return FElem(self, Fraction(a), Fraction(b))
+        if type(a) is int and type(b) is int:
+            return _felem(self, a, b, 1)
+        return FElem(self, a, b)
 
     @property
     def zero(self) -> "FElem":
@@ -105,43 +110,71 @@ def field(p: int, eps: int | None = None) -> Field:
 
 
 class FElem:
-    """An element a + b*t of F, exact."""
+    """An element a + b*t of F, exact.
 
-    __slots__ = ("field", "a", "b")
+    Stored as three Python ints (n, m, d) with a = n/d, b = m/d, d > 0 and
+    gcd(n, m, d) = 1.  Every element has exactly one such triple: a common
+    denominator d > 0 with no factor shared by all three is the least one, so
+    equality is equality of triples and the hash is the hash of the triple.
+    Arithmetic runs on the ints, with one gcd per result, and builds no
+    Fraction; `a` and `b` are Fractions built on demand.  Since gcd(n, m, d)
+    = 1, val = -v_p(d) when p divides d, and min(v_p(n), v_p(m)) otherwise.
+    """
 
-    def __init__(self, fld: Field, a: Fraction, b: Fraction):
-        object.__setattr__(self, "field", fld)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    __slots__ = ("field", "n", "m", "d")
+
+    def __init__(self, fld: Field, a, b):
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        _set_field(self, fld)
+        _set_n(self, a.numerator * (d // a.denominator))
+        _set_m(self, b.numerator * (d // b.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, *args):
         raise AttributeError("FElem is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.m, self.d)
+
     def _coerce(self, other) -> "FElem":
         if isinstance(other, FElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise HermSiegelError("mixed fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return FElem(self.field, Fraction(other), Fraction(0))
+        if isinstance(other, int):
+            return _felem(self.field, other, 0, 1)
+        if isinstance(other, Fraction):
+            return _felem(self.field, other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FElem(self.field, self.a + o.a, self.b + o.b)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _canonical(self.field, self.n + o.n, self.m + o.m, d1)
+        return _canonical(self.field, self.n * d2 + o.n * d1, self.m * d2 + o.m * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FElem(self.field, -self.a, -self.b)
+        return _felem(self.field, -self.n, -self.m, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FElem(self.field, self.a - o.a, self.b - o.b)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _canonical(self.field, self.n - o.n, self.m - o.m, d1)
+        return _canonical(self.field, self.n * d2 - o.n * d1, self.m * d2 - o.m * d1, d1 * d2)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -150,12 +183,8 @@ class FElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        eps = self.field.eps
-        return FElem(
-            self.field,
-            self.a * o.a + eps * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        n1, m1, n2, m2 = self.n, self.m, o.n, o.m
+        return _canonical(self.field, n1 * n2 + self.field.eps * m1 * m2, n1 * m2 + m1 * n2, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -169,45 +198,69 @@ class FElem:
         return self.inverse() * other
 
     def inverse(self) -> "FElem":
-        n = self.a * self.a - self.field.eps * self.b * self.b
-        if n == 0:
+        # 1/((n + m t)/d) = d (n - m t) / (n^2 - eps m^2)
+        n, m, d = self.n, self.m, self.d
+        nrm = n * n - self.field.eps * m * m
+        if nrm == 0:
             raise ZeroDivisionError("inverse of zero in F")
-        return FElem(self.field, self.a / n, -self.b / n)
+        if nrm < 0:
+            nrm, d = -nrm, -d
+        return _canonical(self.field, d * n, -d * m, nrm)
 
     def conjugate(self) -> "FElem":
-        return FElem(self.field, self.a, -self.b)
+        return _felem(self.field, self.n, -self.m, self.d)
 
     def valuation(self):
+        n, m, d = self.n, self.m, self.d
+        if not n and not m:
+            return INF
         p = self.field.p
-        return min(val_p(self.a, p), val_p(self.b, p))
+        v = 0
+        if d % p == 0:
+            while d % p == 0:
+                d //= p
+                v -= 1
+            return v
+        while n % p == 0 and m % p == 0:
+            n //= p
+            m //= p
+            v += 1
+        return v
 
     def norm(self) -> Fraction:
         """Norm to F0: x * conjugate(x), a rational."""
-        return self.a * self.a - self.field.eps * self.b * self.b
+        return Fraction(self.n * self.n - self.field.eps * self.m * self.m, self.d * self.d)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.n, self.d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.n and not self.m
 
     def is_integral(self) -> bool:
-        return self.valuation() >= 0
+        return self.d % self.field.p != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.a == other and self.b == 0
-        if not isinstance(other, FElem):
-            return NotImplemented
-        return self.field == other.field and self.a == other.a and self.b == other.b
+        if isinstance(other, FElem):
+            return (
+                self.n == other.n
+                and self.m == other.m
+                and self.d == other.d
+                and (self.field is other.field or self.field == other.field)
+            )
+        if isinstance(other, int):
+            return self.n == other and not self.m and self.d == 1
+        if isinstance(other, Fraction):
+            return self.n == other.numerator and not self.m and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.field.p, self.field.eps))
+        return hash((self.n, self.m, self.d, self.field.p, self.field.eps))
 
     def __repr__(self):
-        if self.b == 0:
+        if self.m == 0:
             return f"{self.a}"
-        if self.a == 0:
+        if self.n == 0:
             return f"{self.b}*t"
         return f"{self.a} + {self.b}*t"
 
@@ -219,6 +272,34 @@ class FElem:
         if isinstance(obj, dict):
             return fld.elem(Fraction(obj["a"]), Fraction(obj.get("b", "0")))
         return fld.elem(Fraction(str(obj)))
+
+
+_new = object.__new__
+_set_field = FElem.field.__set__
+_set_n = FElem.n.__set__
+_set_m = FElem.m.__set__
+_set_d = FElem.d.__set__
+
+
+def _felem(fld: Field, n: int, m: int, d: int) -> FElem:
+    """The element (n + m t)/d of a triple already in canonical form."""
+    x = _new(FElem)
+    _set_field(x, fld)
+    _set_n(x, n)
+    _set_m(x, m)
+    _set_d(x, d)
+    return x
+
+
+def _canonical(fld: Field, n: int, m: int, d: int) -> FElem:
+    """The element (n + m t)/d for any d > 0, brought to canonical form."""
+    if d != 1:
+        g = math.gcd(n, m, d)
+        if g != 1:
+            n //= g
+            m //= g
+            d //= g
+    return _felem(fld, n, m, d)
 
 
 @lru_cache(maxsize=None)
@@ -358,18 +439,18 @@ class ResidueElem:
 
 
 def reduce(x: FElem, k: int) -> ResidueElem:
-    """Reduction O_F -> O_F/p^k.  Raises NonIntegralElement below valuation 0."""
-    if x.valuation() < 0:
+    """Reduction O_F -> O_F/p^k.  Raises NonIntegralElement below valuation 0.
+
+    This is the one reduction of a p-integral element to an integer pair: the
+    residue of (n + m t)/d is (n/d, m/d) mod p^k, with one inverse of d."""
+    if not x.is_integral():
         raise NonIntegralElement(f"{x} has negative valuation")
     ring = x.field.residue_ring(k)
     m = ring.modulus
     if m == 1:
         return ring.elem(0)
-
-    def frac_mod(r: Fraction) -> int:
-        return r.numerator * _inv_mod(r.denominator % m, m) % m
-
-    return ring.elem(frac_mod(x.a), frac_mod(x.b))
+    dinv = _inv_mod(x.d % m, m)
+    return ring.elem(x.n * dinv, x.m * dinv)
 
 
 def norm_solve(ring: ResidueRing, c: int) -> ResidueElem:

@@ -26,6 +26,7 @@ from .lattice import (
     sum_lattices,
 )
 from .overlat import DEFAULT_BUDGET, integral_overlattices
+from .ring import reduce
 
 WEIL_SIGN = -1  # eigenvalue of the transform on the vertical-cycle functions
 
@@ -129,15 +130,11 @@ def _membership_mask(lat: EmbeddedLattice, supB, ZX, ZY):
     if v == 0:
         return np.ones(ZX.shape[0], dtype=bool)
     mod = p**v
-    r = len(M)
     if mod > 2**28:
         raise BudgetExceeded("membership modulus too large for batched testing")
-
-    def red(fr):
-        return fr.numerator * pow(fr.denominator % mod, -1, mod) % mod
-
-    A = np.array([[red(M[i][j].a * mod) for j in range(r)] for i in range(r)], dtype=np.int64)
-    B = np.array([[red(M[i][j].b * mod) for j in range(r)] for i in range(r)], dtype=np.int64)
+    R = [[reduce(x * mod, v) for x in row] for row in M]
+    A = np.array([[y.a for y in row] for row in R], dtype=np.int64)
+    B = np.array([[y.b for y in row] for row in R], dtype=np.int64)
     # (A + B t)(zx + zy t) = (A zx + eps B zy) + (A zy + B zx) t, all mod p^v
     re = (ZX @ A.T % mod + (eps % mod) * (ZY @ B.T % mod)) % mod
     im = (ZY @ A.T % mod + ZX @ B.T % mod) % mod

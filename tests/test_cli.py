@@ -93,6 +93,26 @@ def test_usage_errors(capsys):
     assert rc == 2
 
 
+def test_missing_gram_file_is_usage_error(tmp_path, capsys):
+    rc = main(["den", "poly", "--gram", str(tmp_path / "absent.json"), "--p", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("usage error:") and "absent.json" in err
+
+
+def test_non_json_inv_grid_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text("invariants: 1 2\n")
+    rc = main(["kr", "table", "--inv-grid", str(path), "--p", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("usage error:") and "not JSON" in err
+
+
+def test_bad_den_value_point_is_usage_error(capsys):
+    rc = main(["den", "value", "--inv", "1", "--at", "abc", "--p", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("usage error:") and "abc" in err
+
+
 def test_budget_exit_code(capsys):
     rc, _ = run(capsys, "den", "poly", "--inv", "2,3,3,4", "--p", "3", "--budget", "5")
     assert rc == 3

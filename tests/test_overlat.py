@@ -18,6 +18,7 @@ from hermsiegel.overlat import (
     submodule_count,
     vertex_overlattices,
 )
+from hermsiegel.ring import field
 
 
 def test_selfdual_has_only_itself(F3):
@@ -243,6 +244,95 @@ def test_pair_rank_matches_kernel_count(p, max_n, F3, F5, rng):
                 _deficient_pair_matrix(n, rng.randrange(n), p, eps, rng),
             ):
                 assert _kernel_size(M, p, eps) == p ** (2 * (n - _pair_rank_mod_p(M, p, eps))), M
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pair_rank_tables_match_plain_elimination(p, rng):
+    eps = field(p).eps
+    assert 11 * p * p - 5 <= overlat._TABLE_CAP
+    for n in range(1, 5):
+        for _ in range(10):
+            for M in (
+                _random_pair_matrix(n, n, p, rng),
+                _random_pair_matrix(n, n + 1, p, rng),
+                _hermitian_pair_matrix(n, p, rng),
+                _deficient_pair_matrix(n, rng.randrange(n), p, eps, rng),
+                [[(p * x, p * y) for x, y in row] for row in _random_pair_matrix(n, n, p, rng)],
+            ):
+                assert _pair_rank_mod_p(M, p, eps) == overlat._pair_rank_plain(M, p, eps), M
+
+
+def _pair_det(M, p, eps):
+    """Determinant over F_(q^2) by the Leibniz sum, reduced mod p."""
+    total = (0, 0)
+    for perm in itertools.permutations(range(len(M))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+        term = (1 - 2 * (inversions % 2), 0)
+        for i, j in enumerate(perm):
+            term = overlat._pmul(term, M[i][j], eps)
+        total = (total[0] + term[0], total[1] + term[1])
+    return total[0] % p, total[1] % p
+
+
+def _minor_rank(M, p, eps):
+    """The largest k with a non-zero k x k minor."""
+    for k in range(min(len(M), len(M[0])), 0, -1):
+        for rows in itertools.combinations(range(len(M)), k):
+            for cols in itertools.combinations(range(len(M[0])), k):
+                if _pair_det([[M[i][j] for j in cols] for i in rows], p, eps) != (0, 0):
+                    return k
+    return 0
+
+
+def test_pair_rank_above_table_cap(rng):
+    # at p = 1009 the tables would hold 11 p^2 - 5 > 10^7 entries, so the
+    # rank is taken by plain elimination, checked here against minors
+    p = 1009
+    eps = field(p).eps
+    assert 11 * p * p - 5 > overlat._TABLE_CAP
+    built = overlat._residue_tables.cache_info().currsize
+    for n in range(1, 4):
+        for _ in range(10):
+            for M in (
+                _random_pair_matrix(n, n, p, rng),
+                _random_pair_matrix(n, n + 1, p, rng),
+                _hermitian_pair_matrix(n, p, rng),
+                _deficient_pair_matrix(n, rng.randrange(n), p, eps, rng),
+            ):
+                assert _pair_rank_mod_p(M, p, eps) == _minor_rank(M, p, eps), M
+    assert overlat._residue_tables.cache_info().currsize == built
+
+
+def test_residue_generator_candidate_count(monkeypatch):
+    # the search for a generator of F_(q^2)^x tries a handful of candidates,
+    # none of them in F_p^x, and raises each to n / r only
+    tried = []
+    ppow = overlat._ppow
+
+    def counted(g, e, p, eps):
+        if g not in tried:
+            tried.append(g)
+        return ppow(g, e, p, eps)
+
+    monkeypatch.setattr(overlat, "_ppow", counted)
+    counts = {}
+    for p in (3, 5, 7, 101, 211, 1009):
+        tried.clear()
+        g = overlat._residue_generator(p, field(p).eps)
+        assert tried[-1] == g and all(y != 0 for _, y in tried)
+        counts[p] = len(tried)
+    assert counts == {3: 2, 5: 3, 7: 2, 101: 3, 211: 3, 1009: 8}
+    monkeypatch.undo()
+    for p in (3, 5, 7, 101):
+        # order n, by listing the powers
+        eps = field(p).eps
+        g = x = overlat._residue_generator(p, eps)
+        order = 1
+        while x != (1, 0):
+            x = overlat._pmul(x, g, eps)
+            x = (x[0] % p, x[1] % p)
+            order += 1
+        assert order == p * p - 1
 
 
 @pytest.mark.parametrize("p, invs", [(3, (2, 2)), (3, (1, 1, 2)), (3, (0, 2, 2)), (3, (1, 3)), (5, (2, 2)), (5, (1, 1, 2))])
