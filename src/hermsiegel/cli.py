@@ -25,6 +25,7 @@ from .lattice import (
     lattice_from_json,
     random_unimodular,
     rebased,
+    with_valuation,
 )
 from .ring import field
 
@@ -44,6 +45,21 @@ def _read_json(path):
         raise UsageError(f"{path} is not JSON: {exc}") from exc
 
 
+# what building an object from a JSON document of the wrong shape raises: a
+# missing key, a value of the wrong type, an empty list or a bad number
+_SHAPE_ERRORS = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _from_json(path, build):
+    """build(document) for the JSON file at path; a document of the wrong
+    shape is a usage error."""
+    obj = _read_json(path)
+    try:
+        return build(obj)
+    except _SHAPE_ERRORS as exc:
+        raise UsageError(f"{path} has the wrong shape: {type(exc).__name__}: {exc}") from exc
+
+
 def _parse_inv(text):
     try:
         return tuple(int(t) for t in text.replace(",", " ").split())
@@ -53,15 +69,17 @@ def _parse_inv(text):
 
 def _load_lattice(args, cfg) -> EmbeddedLattice:
     if getattr(args, "lattice", None):
-        return lattice_from_json(_read_json(args.lattice))
+        return _from_json(args.lattice, lattice_from_json)
     if getattr(args, "gram", None):
-        obj = _read_json(args.gram)
         fld = field(cfg.p, cfg.eps)
         from .lattice import HermSpace, mat, mident
 
-        gram = mat([[FElem.from_json(fld, x) for x in row] for row in obj["gram"]])
-        space = HermSpace(fld, gram)
-        return EmbeddedLattice(space, mident(fld, space.dim))
+        def build(obj):
+            gram = mat([[FElem.from_json(fld, x) for x in row] for row in obj["gram"]])
+            space = HermSpace(fld, gram)
+            return EmbeddedLattice(space, mident(fld, space.dim))
+
+        return _from_json(args.gram, build)
     if getattr(args, "inv", None):
         fld = field(cfg.p, cfg.eps)
         kind = None
@@ -75,7 +93,7 @@ def _load_lattice(args, cfg) -> EmbeddedLattice:
 
 def _load_flat(args, cfg):
     if getattr(args, "flat", None):
-        L = lattice_from_json(_read_json(args.flat))
+        L = _from_json(args.flat, lattice_from_json)
         from .decomp import perp_generator
 
         return L, perp_generator(L)
@@ -88,9 +106,7 @@ def _load_flat(args, cfg):
 
 def _load_vector(args, space):
     if getattr(args, "x", None):
-        obj = _read_json(args.x)
-        fld = space.params
-        return tuple(FElem.from_json(fld, c) for c in obj)
+        return _from_json(args.x, lambda obj: tuple(FElem.from_json(space.params, c) for c in obj))
     raise UsageError("provide --x FILE")
 
 
@@ -169,12 +185,11 @@ def cmd_overlat(args, cfg):
 
 def cmd_decomp(args, cfg):
     Lf, w = _load_flat(args, cfg)
-    fld = Lf.field
     if getattr(args, "x_val", None) is not None:
         v0 = int(Lf.space.vector_val(w))
         if (args.x_val - v0) % 2:
             raise UsageError(f"perpendicular valuations have parity {v0 % 2} in this space")
-        x = tuple(fld.elem(Fraction(fld.p) ** ((args.x_val - v0) // 2)) * c for c in w)
+        x = with_valuation(Lf.space, w, args.x_val)
     else:
         x = _load_vector(args, Lf.space)
     fp = decomp.FlatPair(Lf, x)
@@ -201,7 +216,7 @@ def cmd_decomp(args, cfg):
 
 def cmd_schwartz(args, cfg):
     if getattr(args, "lam", None):
-        Lam = lattice_from_json(_read_json(args.lam))
+        Lam = _from_json(args.lam, lattice_from_json)
     else:
         fld = field(cfg.p, cfg.eps)
         n = args.dim
@@ -239,11 +254,10 @@ def cmd_kr(args, cfg):
 
 
 def cmd_kr_table(args, cfg):
-    spec = _read_json(args.inv_grid)
+    grid = _from_json(args.inv_grid, lambda spec: [tuple(sorted(int(a) for a in invs)) for invs in spec["invariants"]])
     fld = field(cfg.p, cfg.eps)
     rows = []
-    for invs in spec["invariants"]:
-        invs = tuple(sorted(int(a) for a in invs))
+    for invs in grid:
         L = lattice_from_invariants(fld, invs)
         pol = density.den_poly(L, cfg.enum_budget)
         if sum(invs) % 2 == 1:
@@ -321,10 +335,7 @@ def suite_induction(cfg, rng, count=20):
         invs = _random_invariants(rng, 3, 4)
         kind = rng.choice(["split", "nonsplit"])
         Lf, w = flat_from_invariants(fld, invs, kind)
-        v0 = int(Lf.space.vector_val(w))
-        e = max(invs)
-        vx = e + 1 if (e + 1 - v0) % 2 == 0 else e + 2
-        x = tuple(fld.elem(Fraction(fld.p) ** ((vx - v0) // 2)) * c for c in w)
+        x = with_valuation(Lf.space, w, max(invs) + 1)
         if not density.induction_check(Lf, x, cfg.enum_budget):
             return False
     return True
@@ -336,10 +347,7 @@ def suite_diff(cfg, rng, count=20):
         invs = _random_invariants(rng, 3, 4)
         kind = rng.choice(["split", "nonsplit"])
         Lf, w = flat_from_invariants(fld, invs, kind)
-        v0 = int(Lf.space.vector_val(w))
-        e = max(invs)
-        vx = e + 1 if (e + 1 - v0) % 2 == 0 else e + 2
-        x = tuple(fld.elem(Fraction(fld.p) ** ((vx - v0) // 2)) * c for c in w)
+        x = with_valuation(Lf.space, w, max(invs) + 1)
         if decomp.diff_identity_check(decomp.FlatPair(Lf, x), cfg.enum_budget) != (True, True):
             return False
     return True
@@ -351,9 +359,7 @@ def suite_vanishing(cfg, rng, count=20):
         invs = _random_invariants(rng, 3, 4)
         kind = rng.choice(["split", "nonsplit"])
         Lf, w = flat_from_invariants(fld, invs, kind)
-        v0 = int(Lf.space.vector_val(w))
-        vx = -1 if (v0 + 1) % 2 == 0 else -2
-        x = tuple(fld.elem(Fraction(fld.p) ** ((vx - v0) // 2)) * c for c in w)
+        x = with_valuation(Lf.space, w, -2)
         hf, hh = decomp.fourier_pden_perp(decomp.FlatPair(Lf, x), cfg.enum_budget)
         if hf != hh:
             return False

@@ -29,5 +29,4 @@ class RunConfig:
     eps: int | None = None
     enum_budget: int = dc_field(default_factory=lambda: _env_budget(DEFAULT_BUDGET))
     oracle_budget: int = dc_field(default_factory=lambda: _env_budget(DEFAULT_NODE_BUDGET))
-    fmt: str = "text"
     seed: int = 0

@@ -29,6 +29,7 @@ from .lattice import (
     from_generators,
     intersect_with_hyperplane,
     left_annihilator,
+    with_valuation,
 )
 from .overlat import (
     DEFAULT_BUDGET,
@@ -86,15 +87,10 @@ def perp_generator(Lflat: EmbeddedLattice):
 def m_of_flat(Lflat: EmbeddedLattice) -> FlatAux:
     """Lflat + <u> with u perpendicular of valuation e_max or e_max + 1,
     whichever the determinant parity of the ambient space allows."""
-    fld = Lflat.field
-    w = perp_generator(Lflat)
-    v0 = int(Lflat.space.vector_val(w))
     e = Lflat.invariants().e_max
-    target = e if (e - v0) % 2 == 0 else e + 1
-    scale = fld.elem(Fraction(fld.p) ** ((target - v0) // 2))
-    u = tuple(scale * c for c in w)
+    u = with_valuation(Lflat.space, perp_generator(Lflat), e)
     M = from_generators(Lflat.space, Lflat.columns() + [u])
-    return FlatAux(e_max=e, m_of_flat=M, u_val=target)
+    return FlatAux(e_max=e, m_of_flat=M, u_val=int(Lflat.space.vector_val(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +130,10 @@ def _section_weighted_sum(Lflat: EmbeddedLattice, L: EmbeddedLattice, budget) ->
     B = m0 + amax + 4
     modB = p**B
 
-    pm0 = fld.elem(Fraction(p) ** m0)
+    pm0 = fld.ppow(m0)
     phiDint = [(r.a, r.b) for r in (reduce(pm0 * x, B) for x in phiD)]
     total = 0
-    for H, length, type_t, cyclic, gmodp in fam:
+    for H, type_t, gmodp in fam:
         rho = []
         for j in range(r):
             ra = rb = 0
@@ -287,7 +283,7 @@ def diff_identity_check(fp: FlatPair, budget: int = DEFAULT_BUDGET):
     if space.vector_val(fp.x) < fp.lflat.invariants().e_max + 1:
         raise PreconditionViolated("val(x) must be at least e_max + 1")
     q = fld.q
-    pinv = fld.elem(Fraction(1, fld.p))
+    pinv = fld.ppow(-1)
     fp2 = FlatPair(fp.lflat, tuple(pinv * c for c in fp.x))
     lhs_full = _pden_sum_full(fp, budget) - _pden_sum_full(fp2, budget)
     rhs_full = den_value(fp.lflat, -q, budget)
@@ -360,7 +356,7 @@ def norm_class_reps(fld, a: int):
     for v in range(a):
         j = a - v
         ring = fld.residue_ring(j)
-        scale = fld.elem(Fraction(p) ** v)
+        scale = fld.ppow(v)
         for nu in range(1, p**j):
             if nu % p == 0:
                 continue
@@ -385,7 +381,7 @@ def flat_coset_grid(Lflat: EmbeddedLattice, w, j_values, compress: bool = True):
         axis_reps = [norm_class_reps(fld, a) for a in invs]
         scaled_cols = []
         for i in range(Lflat.rank):
-            s = fld.elem(Fraction(1, fld.p ** invs[i]))
+            s = fld.ppow(-invs[i])
             scaled_cols.append(tuple(s * c for c in Lflat.column(i)))
         from itertools import product
 
@@ -410,7 +406,7 @@ def flat_coset_grid(Lflat: EmbeddedLattice, w, j_values, compress: bool = True):
         vparts = coset_representatives(Lflat.dual(), Lflat)
     out = []
     for j in j_values:
-        pw = fld.elem(Fraction(fld.p) ** int(j))
+        pw = fld.ppow(int(j))
         xw = tuple(pw * c for c in w)
         for v in vparts:
             out.append(tuple(v[k] + xw[k] for k in range(space.dim)))

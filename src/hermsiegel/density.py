@@ -308,7 +308,7 @@ def induction_check(Lflat: EmbeddedLattice, x, budget: int = DEFAULT_BUDGET) -> 
             raise PreconditionViolated("x must be exactly perpendicular to the flat")
     if space.vector_val(x) <= Lflat.invariants().e_max:
         raise PreconditionViolated("val(x) must exceed the largest invariant")
-    pinv = fld.elem(Fraction(1, fld.p))
+    pinv = fld.ppow(-1)
     L = from_generators(space, Lflat.columns() + [x])
     Lp = from_generators(space, Lflat.columns() + [tuple(pinv * c for c in x)])
     q = fld.q

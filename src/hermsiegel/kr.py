@@ -66,6 +66,25 @@ def int_prime(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> IntResult:
     return IntResult(val, "main2prime", tuple(L.invariants()), q)
 
 
+def int_rank1_closed(a: int) -> Fraction:
+    """Int(<p^a>) = (a + 1)/2 for odd a (Gross's quasi-canonical liftings):
+    a value from the geometric side, shared with no density code."""
+    if a < 1 or a % 2 == 0:
+        raise WrongParity("the rank-1 closed form needs an odd a >= 1")
+    return Fraction(a + 1, 2)
+
+
+def int_rank2_closed(a: int, b: int, q: int) -> Fraction:
+    """Int(diag(p^a, p^b)) = 1/2 sum_{l=0}^{a} q^l (a + b + 1 - 2l) for
+    0 <= a <= b with a + b odd (Kudla-Rapoport, Invent. Math. 184 (2011),
+    Thm. 1.1): a value from the geometric side, shared with no density code."""
+    if not 0 <= a <= b:
+        raise PreconditionViolated("the rank-2 closed form needs 0 <= a <= b")
+    if (a + b) % 2 == 0:
+        raise WrongParity("the rank-2 closed form needs a + b odd")
+    return Fraction(sum(q**l * (a + b + 1 - 2 * l) for l in range(a + 1)), 2)
+
+
 def mult_vertical(Lflat: EmbeddedLattice, Lam: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> int:
     """Multiplicity of the vertical-cycle component attached to a type-3
     vertex overlattice of a rank-2 flat: the number of lattices between the

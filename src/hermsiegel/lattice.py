@@ -297,7 +297,7 @@ def hnf_columns(fld: Field, cols, n: int):
     mv = min(min(x.valuation() for x in c) for c in cols)
     if mv < 0:
         shift = -int(mv)
-        scale = fld.elem(Fraction(fld.p) ** shift)
+        scale = fld.ppow(shift)
         cols = [[scale * x for x in c] for c in cols]
     fixed = []  # list of (pivot_row, pivot_val, column)
     active = cols
@@ -312,10 +312,9 @@ def hnf_columns(fld: Field, cols, n: int):
         if bestv == INF:
             continue
         piv = active.pop(best)
-        unit = piv[i] / fld.elem(Fraction(fld.p) ** int(bestv))
-        uinv = unit.inverse()
+        pw = fld.ppow(int(bestv))
+        uinv = (piv[i] / pw).inverse()
         piv = [uinv * x for x in piv]
-        pw = fld.elem(Fraction(fld.p) ** int(bestv))
         for c in active:
             if c[i].is_zero():
                 continue
@@ -330,7 +329,7 @@ def hnf_columns(fld: Field, cols, n: int):
                     c[r] = c[r] - z * piv[r]
         fixed.append((i, bestv, piv))
     if shift:
-        inv = fld.elem(Fraction(1, fld.p**shift))
+        inv = fld.ppow(-shift)
         fixed = [(i, v, [inv * x for x in c]) for i, v, c in fixed]
     return [f[0] for f in fixed], [f[2] for f in fixed]
 
@@ -548,13 +547,6 @@ class EmbeddedLattice:
     def contains_lattice(self, other: "EmbeddedLattice") -> bool:
         return all(self.contains(other.column(j)) for j in range(other.rank))
 
-    def member_rep(self, x):
-        """x + L as a canonical coset key (exact residue data), for dedup grids."""
-        c = self.coords(x)
-        if c is None:
-            return None
-        return tuple((y.a, y.b) for y in c)
-
 
 # ---------------------------------------------------------------------------
 # sums, intersections, hyperplane sections
@@ -709,6 +701,13 @@ def perp_line(space: HermSpace, L: EmbeddedLattice):
     return tuple(K[i][0] for i in range(space.dim))
 
 
+def with_valuation(space: HermSpace, w, v: int):
+    """p^j w with j = ceil((v - val w) / 2): a vector of valuation v, or of
+    v + 1 when the parity of val w rules v out."""
+    s = space.params.ppow((v - int(space.vector_val(w)) + 1) // 2)
+    return tuple(s * c for c in w)
+
+
 _HENSEL_PAD = 24
 
 
@@ -726,7 +725,7 @@ def _vector_of_valuation(space: HermSpace, cols, v: int, pad: int = _HENSEL_PAD)
     vals = [int(diag.gram[i][i].valuation()) for i in range(diag.rank)]
     for i, w in enumerate(vals):
         if (w - v) % 2 == 0:
-            scale = fld.elem(Fraction(fld.p) ** ((v - w) // 2))
+            scale = fld.ppow((v - w) // 2)
             return tuple(scale * x for x in diag.column(i))
     pairs = [(i, j) for i in range(len(vals)) for j in range(i + 1, len(vals)) if (vals[i] - vals[j]) % 2 == 0]
     if not pairs:
@@ -740,16 +739,16 @@ def _vector_of_valuation(space: HermSpace, cols, v: int, pad: int = _HENSEL_PAD)
     ui = diag.gram[i][i]
     uj = diag.gram[j][j]
     uival = int(ui.valuation())
-    ui_unit = ui / fld.elem(Fraction(fld.p) ** uival)
-    uj_unit = uj / fld.elem(Fraction(fld.p) ** int(uj.valuation()))
+    ui_unit = ui / fld.ppow(uival)
+    uj_unit = uj / fld.ppow(int(uj.valuation()))
     target = (fld.p - reduce_mod(ui_unit, k).a) * pow(reduce_mod(uj_unit, k).a, -1, ring.modulus) % ring.modulus
     z = norm_solve(ring, target).lift() if target % fld.p != 0 else fld.one  # target is a unit since p odd
-    shift = fld.elem(Fraction(fld.p) ** ((wi - wj) // 2))
+    shift = fld.ppow((wi - wj) // 2)
     x = tuple(diag.column(i)[r] + z * shift * diag.column(j)[r] for r in range(space.dim))
     got = space.vector_val(x)
     if got != wi + 1:
         raise HermSiegelError("Hensel construction failed")
-    scale = fld.elem(Fraction(fld.p) ** ((v - wi - 1) // 2))
+    scale = fld.ppow((v - wi - 1) // 2)
     if (v - wi - 1) % 2 != 0:
         raise HermSiegelError(f"no vector of valuation {v} in this span (parity)")
     return tuple(scale * y for y in x)
@@ -769,7 +768,7 @@ def vectors_realizing(space: HermSpace, vals):
 
 def _diag_space(fld: Field, vals) -> HermSpace:
     n = len(vals)
-    g = [[fld.elem(Fraction(fld.p) ** int(v)) if i == j else fld.zero for j in range(n)] for i, v in enumerate(vals)]
+    g = [[fld.ppow(int(v)) if i == j else fld.zero for j in range(n)] for i, v in enumerate(vals)]
     return HermSpace(fld, mat(g))
 
 

@@ -80,7 +80,7 @@ def _diag_residues(L: EmbeddedLattice, N: int):
         v = int(d.valuation())
         if v < 0:
             raise PreconditionViolated("oracle requires integral lattices")
-        unit = d * fld.elem(Fraction(1, fld.p**v))
+        unit = d * fld.ppow(-v)
         r = reduce_mod(unit, N)
         if r.b != 0:
             raise HermSiegelError("diagonal Gram entry is not in F0")

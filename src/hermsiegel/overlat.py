@@ -18,17 +18,15 @@ its integrality.
 Each integral overlattice costs one rank over the residue field F_(q^2), read
 off arithmetic tables: its type is r minus the rank of its Gram mod p.  The
 search streams the overlattices; `overlattice_profiles` keeps only their
-(length, type) pairs, which is all the density sums need.  The records of
-`_overlattice_family` also keep H and the Gram mod p, and pay a second rank
-for the cyclicity of L'/L, which only `integral_overlattices` and
-`cyclic_overlattices` report.
+(length, type) pairs, which is all the density sums need.  Only the records
+of `integral_overlattices` and `cyclic_overlattices` pay a second rank, for
+the cyclicity of L'/L.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExceeded, PreconditionViolated
 from .lattice import (
@@ -37,6 +35,7 @@ from .lattice import (
     mat,
     perp_line,
     quotient_divisors,
+    with_valuation,
 )
 from .ring import reduce
 
@@ -353,9 +352,9 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     mod = p ** (amax + 1)
     pam = p**amax
     # dual-basis columns f_i / p^(a_i); in these coordinates L = diag(p^(a_i)) O^r
-    scales = [fld.elem(Fraction(1, fld.p**ai)) for ai in a_sorted]
+    scales = [fld.ppow(-ai) for ai in a_sorted]
     dual_cols = [tuple(scales[i] * x for x in cols[i]) for i in range(r)]
-    units = [diag.gram[order[i]][order[i]] * fld.elem(Fraction(1, fld.p ** a_sorted[i])) for i in range(r)]
+    units = [diag.gram[order[i]][order[i]] * scales[i] for i in range(r)]
     # scaled diagonal p^(amax) * gdiag_l = p^(amax - a_l) * unit_l, mod p^(amax+1)
     vdiag = []
     for l in range(r):
@@ -421,19 +420,27 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     return search(), build, dual_cols
 
 
-def _overlattice_family(L: EmbeddedLattice, budget, val_target=None):
+def _overlattice_family(L: EmbeddedLattice, budget):
     """All integral lattices L' with L <= L' <= L^v, as records
-    (H, length, type, cyclic, Gram mod p) with a lazy builder and the
-    dual-basis columns; see `_overlattice_search`."""
-    search, build, dual_cols = _overlattice_search(L, budget, val_target)
+    (H, type, Gram mod p) with a lazy builder and the dual-basis columns; see
+    `_overlattice_search`."""
+    search, build, dual_cols = _overlattice_search(L, budget)
+    fam = [([row[:] for row in H], type_t, [row[:] for row in gmodp]) for _, type_t, H, _, gmodp in search]
+    return fam, build, dual_cols
+
+
+def _classified(L: EmbeddedLattice, budget):
+    """(length, type, H, cyclic) per integral overlattice, sorted, and the builder."""
+    search, build, _ = _overlattice_search(L, budget)
     p, eps, r = L.field.p, L.field.eps, L.rank
     out = []
-    for length, type_t, H, cvec, gmodp in search:
-        # cyclicity of L'/L: the vectors cvec[m] express L in L'-coordinates,
-        # so L'/L is cyclic iff they have rank >= r - 1 over the residue field
-        cyclic = length <= 0 or r - _pair_rank_mod_p(cvec, p, eps) <= 1
-        out.append(([row[:] for row in H], length, type_t, cyclic, [row[:] for row in gmodp]))
-    return out, build, dual_cols
+    for length, type_t, H, cvec, _ in search:
+        # cyclicity of L'/L, which is 0 or O_F/p at length <= 1; beyond, the vectors cvec[m]
+        # express L in L'-coordinates, so L'/L is cyclic iff they have rank >= r - 1 mod p
+        cyclic = length <= 1 or r - _pair_rank_mod_p(cvec, p, eps) <= 1
+        out.append((length, type_t, [row[:] for row in H], cyclic))
+    out.sort(key=lambda rec: rec[:3])
+    return out, build
 
 
 def overlattice_profiles(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
@@ -450,17 +457,14 @@ def integral_overlattices(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
     The canonical triangular enumeration visits every intermediate module
     exactly once, so no deduplication pass is needed.
     """
-    fam, build, _ = _overlattice_family(L, budget)
-    recs = [
-        OverlatticeRecord(lattice=build(H), length=length, type_t=type_t, cyclic_flag=cyclic)
-        for H, length, type_t, cyclic, _ in sorted(fam, key=lambda item: (item[1], item[2], item[0]))
-    ]
-    return recs
+    recs, build = _classified(L, budget)
+    return [OverlatticeRecord(build(H), length, type_t, cyclic) for length, type_t, H, cyclic in recs]
 
 
 def cyclic_overlattices(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
     """Integral overlattices whose quotient by L is a cyclic O_F-module."""
-    return [rec for rec in integral_overlattices(L, budget) if rec.cyclic_flag]
+    recs, build = _classified(L, budget)
+    return [OverlatticeRecord(build(H), length, type_t, cyclic) for length, type_t, H, cyclic in recs if cyclic]
 
 
 def count_intermediate(L: EmbeddedLattice, Lpp: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> int:
@@ -497,27 +501,22 @@ def vertex_overlattices(Lflat: EmbeddedLattice, t: int, budget: int = DEFAULT_BU
         raise PreconditionViolated("flat lattice must be integral")
     if t > n:
         raise PreconditionViolated("type cannot exceed the ambient dimension")
-    fld = space.params
     w0 = perp_line(space, Lflat)
     v0 = int(space.vector_val(w0))
     val_flat = Lflat.val()
     lo, hi = _generator_window(val_flat, t, n, widen)
     found = {}
-    for v in range(lo, hi + 1):
-        if (v - v0) % 2 != 0:
-            continue
-        j = (v - v0) // 2
-        scale = fld.elem(Fraction(fld.p) ** j)
-        w = tuple(scale * x for x in w0)
-        cand = from_generators(space, Lflat.columns() + [w])
+    for v in range(lo + (lo - v0) % 2, hi + 1, 2):
+        cand = from_generators(space, Lflat.columns() + [with_valuation(space, w0, v)])
         if cand.rank != n or not cand.is_integral():
             continue
-        # vertex lattices of type t have valuation t, which pins the pivot sum
+        # vertex lattices of type t have valuation t, which pins the pivot sum;
+        # type t at valuation t in turn forces every invariant into {0, 1}
         search, build, _ = _overlattice_search(cand, budget, val_target=t)
         for _, type_t, H, _, _ in search:
             if type_t != t:
                 continue
             lam = build(H)
-            if lam.is_vertex(t) and lam.contains_lattice(Lflat):
+            if lam.contains_lattice(Lflat):
                 found.setdefault(lam.key(), lam)
     return [found[k] for k in sorted(found)]

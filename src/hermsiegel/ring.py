@@ -100,6 +100,12 @@ class Field:
     def uniformizer(self) -> "FElem":
         return self.elem(self.p)
 
+    def ppow(self, k: int) -> "FElem":
+        """p^k for any integer k, built as its canonical triple."""
+        if k >= 0:
+            return _felem(self, self.p**k, 0, 1)
+        return _felem(self, 1, 0, self.p**-k)
+
     def residue_ring(self, k: int) -> "ResidueRing":
         return ResidueRing(self, k)
 

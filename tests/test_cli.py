@@ -113,6 +113,49 @@ def test_bad_den_value_point_is_usage_error(capsys):
     assert rc == 2 and err.startswith("usage error:") and "abc" in err
 
 
+def _shape_error(tmp_path, capsys, option, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["den", "poly", "--p", "3", option, str(path)])
+    err = capsys.readouterr().err
+    return rc, err
+
+
+def test_gram_file_without_gram_is_usage_error(tmp_path, capsys):
+    rc, err = _shape_error(tmp_path, capsys, "--gram", {"foo": 1})
+    assert rc == 2 and err.startswith("usage error:") and "KeyError" in err
+
+
+def test_gram_file_with_scalar_gram_is_usage_error(tmp_path, capsys):
+    rc, err = _shape_error(tmp_path, capsys, "--gram", {"gram": 5})
+    assert rc == 2 and err.startswith("usage error:") and "TypeError" in err
+
+
+def test_lattice_file_without_space_gram_is_usage_error(tmp_path, capsys):
+    rc, err = _shape_error(tmp_path, capsys, "--lattice", {"space": {"p": 3}, "basis": []})
+    assert rc == 2 and err.startswith("usage error:") and "KeyError" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decomp", "eval", "--flat", "FILE", "--x-val", "1"],
+        ["decomp", "eval", "--flat-inv", "0", "--nonsplit", "--x", "FILE"],
+        ["schwartz", "modularity", "--lambda", "FILE"],
+        ["kr", "table", "--inv-grid", "FILE"],
+    ],
+)
+def test_other_input_files_of_wrong_shape_are_usage_errors(tmp_path, capsys, argv):
+    # every JSON input file goes through one shape check; this document has
+    # none of the keys the loaders read, and read as a vector its entry "foo"
+    # is not a number
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"foo": {"bar": 1}}))
+    rc = main([str(path) if a == "FILE" else a for a in argv] + ["--p", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("usage error:") and "wrong shape" in err
+
+
 def test_budget_exit_code(capsys):
     rc, _ = run(capsys, "den", "poly", "--inv", "2,3,3,4", "--p", "3", "--budget", "5")
     assert rc == 3

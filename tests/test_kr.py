@@ -9,6 +9,8 @@ from hermsiegel.kr import (
     horizontal_degree,
     int_almost_selfdual,
     int_prime,
+    int_rank1_closed,
+    int_rank2_closed,
     int_selfdual,
     mult_vertical,
     vertical_identity_n3,
@@ -20,6 +22,7 @@ from hermsiegel.lattice import (
     rebased,
 )
 from hermsiegel.overlat import vertex_overlattices
+from hermsiegel.ring import field
 
 
 def test_int_selfdual_rank1(F3):
@@ -130,3 +133,29 @@ def test_eisenstein_ratio(F3, F5):
     assert eisenstein_ratio_check(2, F3)
     assert eisenstein_ratio_check(3, F3)
     assert eisenstein_ratio_check(2, F5)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank1_closed_form_matches_derived_density(p):
+    # Gross: Int(<p^a>) = (a + 1)/2, a value the density code never computes
+    F = field(p)
+    for a in (1, 3, 5, 7):
+        assert int_selfdual(lattice_from_invariants(F, (a,))).value == int_rank1_closed(a), a
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank2_closed_form_matches_derived_density(p):
+    # Kudla-Rapoport's rank-2 formula on every 0 <= a <= b with a <= 3,
+    # b <= 6 and a + b odd: 10 classes for each p
+    F = field(p)
+    classes = [(a, b) for a in range(4) for b in range(a, 7) if (a + b) % 2]
+    assert len(classes) == 10
+    for a, b in classes:
+        assert int_selfdual(lattice_from_invariants(F, (a, b))).value == int_rank2_closed(a, b, p), (a, b)
+
+
+def test_closed_forms_reject_their_parity():
+    with pytest.raises(WrongParity):
+        int_rank1_closed(2)
+    with pytest.raises(WrongParity):
+        int_rank2_closed(1, 3, 3)

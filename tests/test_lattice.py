@@ -23,6 +23,7 @@ from hermsiegel.lattice import (
     rebased,
     standard_space,
     sum_lattices,
+    with_valuation,
 )
 
 
@@ -189,3 +190,18 @@ def test_degenerate_rejected(F3):
     V = standard_space("split", 2, F3)
     with pytest.raises(DegenerateLattice):
         EmbeddedLattice(V, mat([[F3.one, F3.one], [F3.one, F3.one]]))
+
+
+def test_with_valuation_both_parities(F3):
+    # the generator w of the orthogonal line has valuation 1 in the split
+    # space and 0 in the nonsplit one; a target of the other parity is
+    # rounded up by one
+    for kind, v0 in (("split", 1), ("nonsplit", 0)):
+        Lf, w = flat_from_invariants(F3, (1, 2), kind)
+        assert Lf.space.vector_val(w) == v0
+        for v in range(-3, 5):
+            x = with_valuation(Lf.space, w, v)
+            want = v if (v - v0) % 2 == 0 else v + 1
+            assert Lf.space.vector_val(x) == want
+            scale = F3.ppow((want - v0) // 2)
+            assert x == tuple(scale * c for c in w)

@@ -9,6 +9,7 @@ from hermsiegel.lattice import flat_from_invariants, lattice_from_invariants, qu
 from hermsiegel.overlat import (
     DEFAULT_BUDGET,
     _overlattice_family,
+    _overlattice_search,
     _pair_rank_mod_p,
     _submodules,
     count_intermediate,
@@ -99,7 +100,7 @@ def _unpruned_family(L):
     """(H, length, type, Gram mod p, valuation) of every integral overlattice,
     found by lifting every submodule H of L^v/L to a lattice and testing its
     Gram matrix in field arithmetic; independent of the modular checks that
-    `_overlattice_family` makes while it fills H."""
+    `_overlattice_search` makes while it fills H."""
     fld = L.field
     a = tuple(sorted(L.invariants().seq))
     _, build, _ = _overlattice_family(L, DEFAULT_BUDGET)
@@ -143,10 +144,13 @@ def test_family_matches_unpruned_search(p, invs, F3, F5, rng):
     L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
     ref = _unpruned_family(L)
     for val_target in [None, *range(sum(invs) + 1)]:
-        fam, _, _ = _overlattice_family(L, DEFAULT_BUDGET, val_target=val_target)
-        got = sorted((tuple(map(tuple, H)), length, type_t, tuple(map(tuple, g))) for H, length, type_t, _, g in fam)
+        search, _, _ = _overlattice_search(L, DEFAULT_BUDGET, val_target)
+        got = sorted((tuple(map(tuple, H)), length, type_t, tuple(map(tuple, g))) for length, type_t, H, _, g in search)
         want = sorted(row[:4] for row in ref if val_target in (None, row[4]))
         assert got == want, (invs, val_target)
+    fam, _, _ = _overlattice_family(L, DEFAULT_BUDGET)
+    got = sorted((tuple(map(tuple, H)), type_t, tuple(map(tuple, g))) for H, type_t, g in fam)
+    assert got == sorted((row[0], row[2], row[3]) for row in ref), invs
 
 
 def _candidates(monkeypatch, fld, invs):
@@ -174,8 +178,9 @@ def test_candidate_counts(F3, F5, monkeypatch):
 
 
 def test_profiles_rank_once_per_overlattice(F3, monkeypatch):
-    # the type costs one rank per integral overlattice; the density sums do
-    # not read the cyclicity, so the profiles pay no second rank for it
+    # the type costs one rank per integral overlattice; the density sums and
+    # the horizontal sum do not read the cyclicity, so neither the profiles
+    # nor the family records pay a second rank for it (the family paid 785)
     calls = []
     rank = overlat._pair_rank_mod_p
 
@@ -184,8 +189,13 @@ def test_profiles_rank_once_per_overlattice(F3, monkeypatch):
         return rank(rows, p, eps)
 
     monkeypatch.setattr(overlat, "_pair_rank_mod_p", counted)
-    profiles = overlattice_profiles(lattice_from_invariants(F3, (1, 1, 1, 1)))
+    L = lattice_from_invariants(F3, (1, 1, 1, 1))
+    profiles = overlattice_profiles(L)
     assert len(profiles) == 393
+    assert len(calls) == 393
+    calls.clear()
+    fam, _, _ = _overlattice_family(L, DEFAULT_BUDGET)
+    assert len(fam) == 393
     assert len(calls) == 393
 
 
@@ -340,8 +350,12 @@ def test_cyclic_flag_matches_quotient_divisors(p, invs, F3, F5, rng):
     # L'/L is cyclic iff at most one of its elementary divisors is positive
     fld = {3: F3, 5: F5}[p]
     L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
-    for rec in integral_overlattices(L):
+    recs = integral_overlattices(L)
+    for rec in recs:
         assert rec.cyclic_flag == (sum(1 for d in quotient_divisors(L, rec.lattice) if d > 0) <= 1)
+    # cyclic_overlattices is that filter, in the same order
+    want = [(r.lattice.key(), r.length, r.type_t, r.cyclic_flag) for r in recs if r.cyclic_flag]
+    assert [(r.lattice.key(), r.length, r.type_t, r.cyclic_flag) for r in cyclic_overlattices(L)] == want
 
 
 def test_parity_preserved(F3, rng):

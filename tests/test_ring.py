@@ -212,3 +212,13 @@ def test_integer_arithmetic_builds_no_fraction(monkeypatch):
     _assert_pair(inv, s0 / ns, -s1 / ns)
     _assert_pair(conj, s0 / ns, s1 / ns)
     assert facts == (min(_val(s0 / ns, 5), _val(s1 / ns, 5)), 1, False, True, True, False, True)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ppow_matches_fraction_power(p):
+    F = field(p)
+    for k in range(-6, 7):
+        x = F.ppow(k)
+        assert x == F.elem(Fraction(p) ** k) and hash(x) == hash(F.elem(Fraction(p) ** k))
+        assert (x.n, x.m, x.d) == ((p**k, 0, 1) if k >= 0 else (1, 0, p**-k))
+        assert x.valuation() == k

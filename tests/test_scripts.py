@@ -1,0 +1,28 @@
+"""The report scripts run end to end on their smallest grids."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_oracle_report_rows_ok():
+    rows = _run("oracle_report.py", "--max-rank", "1", "--max-val", "1")
+    assert len(rows) == 4  # invariants (0,) and (1,), each at k = 0 and 1
+    for row in rows:
+        # a row ends in its status, then the time it took
+        assert row.rsplit("(", 1)[0].split()[-1] == "ok", row
+
+
+def test_make_tables_runs():
+    rows = _run("make_tables.py", "--max-rank", "1", "--max-val", "2")
+    assert [row.split()[0] for row in rows] == ["(0,)", "(1,)", "(2,)"]
