@@ -875,7 +875,11 @@ def space_from_json(obj: dict) -> HermSpace:
 
 
 def lattice_from_json(obj: dict) -> EmbeddedLattice:
+    """The lattice of a {"space": ..., "basis": rows} document; a basis that
+    is not a dim x r matrix with r >= 1 raises ValueError."""
     space = space_from_json(obj["space"])
     fld = space.params
     basis = mat([[FElem.from_json(fld, x) for x in row] for row in obj["basis"]])
+    if len(basis) != space.dim or not basis[0] or any(len(row) != len(basis[0]) for row in basis):
+        raise ValueError(f"basis must be a {space.dim} x r matrix with r >= 1")
     return EmbeddedLattice(space, basis)

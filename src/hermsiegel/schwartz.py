@@ -3,9 +3,15 @@
 The Fourier transform acts termwise, 1_L -> vol(L) 1_(L dual), with
 vol(L) = q^(-val(L)).  Distinct formal combinations can represent the same
 function (indicator functions of lattices satisfy counting relations), so
-equality is decided semantically: a difference of two combinations is
-invariant under translation by the intersection of all involved lattices and
-supported in their sum, hence determined by finitely many coset values.
+equality is decided semantically.  A difference of two combinations is
+invariant under translation by the intersection I of all its lattices and
+supported in their sum S, so it is determined by its values on the finitely
+many cosets of S/I.  `functions_equal` scatters each term over its own cosets:
+the cosets of L_i/I are enumerated from an echelon basis of L_i, reduced into
+one fixed box of representatives of S/I, and counted there, which costs
+sum_i [L_i : I] cosets.  `functions_equal_reference` decides the same question
+the direct way, testing every coset of S/I against every term; it is kept as
+the independent check of the scatter and no library code calls it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from .errors import AmbientMismatch, BudgetExceeded, HermSiegelError, NotVertexType3
 from .lattice import (
     EmbeddedLattice,
+    from_generators,
     hnf_columns,
     intersect_lattices,
     minv,
@@ -31,6 +38,7 @@ from .ring import reduce
 WEIL_SIGN = -1  # eigenvalue of the transform on the vertical-cycle functions
 
 _COSET_CAP = 10**6
+_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -141,10 +149,100 @@ def _membership_mask(lat: EmbeddedLattice, supB, ZX, ZY):
     return ((re == 0) & (im == 0)).all(axis=1)
 
 
+def _echelon_in(binv, lat: EmbeddedLattice):
+    """Echelon basis of a full-rank lattice in the coordinates of the basis
+    whose inverse is binv: column j has its pivot p^(v_j) in row j and zeros
+    above it."""
+    T = mmul(binv, lat.basis)
+    n = len(T)
+    _, cols = hnf_columns(lat.field, [tuple(T[i][j] for i in range(n)) for j in range(n)], n)
+    return cols
+
+
+def _residue_matrix(cols, K: int):
+    """The entries of the columns mod p^K as integer arrays (A, B), entry
+    (i, j) of column j being A[i, j] + B[i, j] t."""
+    n = len(cols)
+    R = [[reduce(cols[j][i], K) for j in range(n)] for i in range(n)]
+    A = np.array([[x.a for x in row] for row in R], dtype=np.int64)
+    B = np.array([[x.b for x in row] for row in R], dtype=np.int64)
+    return A, B
+
+
 def functions_equal(f: LatticeFunction, g: LatticeFunction, cap: int = _COSET_CAP) -> bool:
-    """Semantic equality via coset representatives of (sum of all lattices)
-    modulo (intersection of all lattices); membership tests are batched in
-    modular integer arithmetic."""
+    """Semantic equality on the cosets of S/I, S the sum and I the
+    intersection of all lattices of f - g, visiting only the cosets each term
+    is supported on.
+
+    In the echelon coordinates of S, I has a lower-triangular basis H with
+    pivots p^(k_j), so the box of vectors with x_j + y_j t, 0 <= x_j, y_j <
+    p^(k_j), holds one representative of each coset of S/I.  A term L_i with
+    echelon basis B_i (pivots p^(v_j)) covers the cosets B_i z for z in the
+    box of the exponents k_j - v_j, each once.  Each such vector is reduced
+    into the box row by row, subtracting multiples of H's columns, modulo
+    p^K with K = sum k_j (p^K S lies in I), then coded in mixed radix; the
+    codes of the terms that share an integer coefficient are counted with one
+    bincount.  f = g iff every coset's weighted count is zero.  Refuses with
+    BudgetExceeded, before any array is built, beyond `cap` cosets or when
+    int64 arithmetic modulo p^K could overflow."""
+    diff = f - g
+    if diff.is_formally_zero():
+        return True
+    lats = [lat for _, lat in diff.terms]
+    space = lats[0].space
+    fld = space.params
+    n = space.dim
+    S = from_generators(space, [c for lat in lats for c in lat.columns()])
+    I = from_generators(space, [c for lat in lats for c in lat.dual().columns()]).dual()
+    binv = minv(S.basis)
+    H = _echelon_in(binv, I)
+    kvals = [int(H[j][j].valuation()) for j in range(n)]
+    K = sum(kvals)
+    total = fld.q ** (2 * K)
+    if total > cap:
+        raise BudgetExceeded(f"{total} cosets exceed cap {cap}")
+    P = fld.p**K
+    e = fld.eps % P
+    # residues lie below P: a matrix product sums n products of two of them,
+    # a reduction step two products and e times a residue
+    if (n + 2 + e) * P * P > _INT64_SAFE:
+        raise BudgetExceeded(f"cosets modulo p^{K} exceed int64 arithmetic")
+    HA, HB = _residue_matrix(H, K)
+    steps = [fld.p**k for k in kvals]
+    strides = [1] * n
+    for j in range(n - 2, -1, -1):
+        strides[j] = strides[j + 1] * steps[j + 1] ** 2
+    denom = lcm(*[c.denominator for c, _ in diff.terms])
+    groups = {}
+    for c, lat in diff.terms:
+        B = _echelon_in(binv, lat)
+        BA, BB = _residue_matrix(B, K)
+        ZX, ZY = _residue_grid(fld, [k - int(B[j][j].valuation()) for j, k in enumerate(kvals)])
+        # (A + B t)(zx + zy t) = (A zx + eps B zy) + (A zy + B zx) t, mod p^K
+        X = (ZX @ BA.T % P + e * (ZY @ BB.T % P)) % P
+        Y = (ZY @ BA.T % P + ZX @ BB.T % P) % P
+        code = np.zeros(X.shape[0], dtype=np.int64)
+        for j in range(n):
+            qa, X[:, j] = np.divmod(X[:, j], steps[j])
+            qb, Y[:, j] = np.divmod(Y[:, j], steps[j])
+            if j + 1 < n:
+                qa, qb = qa[:, None], qb[:, None]
+                ha, hb = HA[j + 1 :, j], HB[j + 1 :, j]
+                X[:, j + 1 :] = (X[:, j + 1 :] - qa * ha - e * (qb * hb % P)) % P
+                Y[:, j + 1 :] = (Y[:, j + 1 :] - qa * hb - qb * ha) % P
+            code += (X[:, j] * steps[j] + Y[:, j]) * strides[j]
+        groups.setdefault(int(c * denom), []).append(code)
+    acc = np.zeros(total, dtype=object)
+    for coeff, codes in groups.items():
+        acc += np.bincount(np.concatenate(codes), minlength=total).astype(object) * coeff
+    return not np.any(acc != 0)
+
+
+def functions_equal_reference(f: LatticeFunction, g: LatticeFunction, cap: int = _COSET_CAP) -> bool:
+    """Semantic equality by testing every coset of (sum of all lattices)
+    modulo (intersection of all lattices) against every term, the membership
+    tests batched in modular integer arithmetic.  The independent reference
+    for `functions_equal`."""
     diff = f - g
     if diff.is_formally_zero():
         return True

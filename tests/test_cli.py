@@ -137,6 +137,20 @@ def test_lattice_file_without_space_gram_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "space, basis",
+    [
+        ({"p": 3, "gram": [["1"]]}, []),  # no columns
+        ({"p": 3, "gram": [["1"]]}, [[]]),  # a row with no columns
+        ({"p": 3, "gram": [["1", "0"], ["0", "1"]]}, [["1", "0"], ["1"]]),  # ragged rows
+        ({"p": 3, "gram": [["1", "0"], ["0", "1"]]}, [["1", "0"]]),  # one row in a plane
+    ],
+)
+def test_lattice_file_with_basis_of_wrong_shape_is_usage_error(tmp_path, capsys, space, basis):
+    rc, err = _shape_error(tmp_path, capsys, "--lattice", {"space": space, "basis": basis})
+    assert rc == 2 and err.startswith("usage error:") and "wrong shape" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["decomp", "eval", "--flat", "FILE", "--x-val", "1"],

@@ -1,14 +1,28 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from hermsiegel.errors import NotVertexType3
-from hermsiegel.lattice import coset_representatives, lattice_from_invariants
+from hermsiegel import schwartz
+from hermsiegel.errors import BudgetExceeded, NotVertexType3
+from hermsiegel.lattice import (
+    EmbeddedLattice,
+    coset_representatives,
+    from_generators,
+    lattice_from_invariants,
+    mscale,
+    random_unimodular,
+    rebased,
+)
+from hermsiegel.overlat import integral_overlattices
+from hermsiegel.ring import field
 from hermsiegel.schwartz import (
     LatticeFunction,
     evaluate,
     fourier,
     functions_equal,
+    functions_equal_reference,
     int_v_lambda,
     local_modularity_check,
     type1_overlattices,
@@ -156,3 +170,109 @@ def test_vertex_type_guard(F3):
         int_v_lambda(lattice_from_invariants(F3, (0, 1, 1)))
     with pytest.raises(NotVertexType3):
         int_v_lambda(lattice_from_invariants(F3, (1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the coset scatter against the direct coset-by-term reference
+
+
+def _scaled(M, c):
+    return EmbeddedLattice(M.space, mscale(c, M.basis), _check=False)
+
+
+def line_relation(M, extra=0):
+    """sum over the N lines l of M/pM of 1_(pM + l), minus 1_M + (N - 1 +
+    extra) 1_(pM): the zero function when extra = 0, since a point of pM lies
+    in all N lattices and a point of M outside pM in exactly one."""
+    fld = M.field
+    p, r = fld.p, M.rank
+    pM = _scaled(M, fld.uniformizer)
+    residues = [fld.elem(a, b) for a in range(p) for b in range(p)]
+    lines = []
+    for lead in range(r):
+        for tail in product(residues, repeat=r - lead - 1):
+            coef = [fld.zero] * lead + [fld.one] + list(tail)
+            v = tuple(sum((coef[j] * M.basis[i][j] for j in range(r)), start=fld.zero) for i in range(M.dim))
+            lines.append(from_generators(M.space, pM.columns() + [v]))
+    N = (p ** (2 * r) - 1) // (p * p - 1)
+    assert len(lines) == N
+    return LatticeFunction.make([(1, line) for line in lines] + [(-1, M), (-(N - 1 + extra), pM)])
+
+
+def overlattice_pool(fld, invs, rng):
+    """The integral overlattices of a randomly rebased lattice with the given
+    invariants, and their duals."""
+    L = lattice_from_invariants(fld, invs)
+    L = rebased(L, random_unimodular(fld, L.rank, rng))
+    lats = [rec.lattice for rec in integral_overlattices(L)]
+    return lats + [lat.dual() for lat in lats]
+
+
+def random_combination(lats, rng, k):
+    return LatticeFunction.make([(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice(lats)) for _ in range(k)])
+
+
+def scatter_matches_reference(p, invs, rng, rounds):
+    """Both equality tests agree on random combinations, on line relations
+    added to them (equal), on the relation with N in place of N - 1 and on f
+    against -f (unequal).  Returns the number of equal verdicts."""
+    lats = overlattice_pool(field(p), invs, rng)
+    equal = 0
+    for _ in range(rounds):
+        f = random_combination(lats, rng, 3)
+        g = random_combination(lats, rng, 2)
+        M = rng.choice(lats)
+        cases = [
+            (f, g, None),
+            (f, f + line_relation(M).scale(rng.randint(1, 3)), True),
+            (f + g, f + g + line_relation(M, extra=1), False),
+        ]
+        if not f.is_formally_zero():
+            cases.append((f, -f, False))
+        for a, b, want in cases:
+            got = functions_equal(a, b)
+            assert got == functions_equal_reference(a, b), (p, invs)
+            assert want is None or got == want, (p, invs, want)
+            equal += got
+    return equal
+
+
+SCATTER_CASES = [(3, (1, 2)), (3, (2, 2)), (3, (0, 1, 2)), (3, (1, 3)), (3, (2, 3)), (3, (1, 1, 2)), (5, (1, 2))]
+
+
+@pytest.mark.parametrize("p, invs", SCATTER_CASES)
+def test_functions_equal_matches_reference(p, invs):
+    assert scatter_matches_reference(p, invs, random.Random(f"{p} {invs}"), rounds=1) >= 1
+
+
+def test_local_modularity_larger_cases():
+    assert local_modularity_check(lattice_from_invariants(field(7), (1, 1, 1)))
+    assert local_modularity_check(lattice_from_invariants(field(5), (0, 0, 1, 1, 1)))
+
+
+def test_modularity_negative_control_p7():
+    f = int_v_lambda(lattice_from_invariants(field(7), (1, 1, 1)))
+    assert not functions_equal(fourier(f), f)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the budget refusal")
+
+
+@pytest.mark.parametrize("equal", [functions_equal, functions_equal_reference])
+def test_coset_cap_refuses_before_numpy(F3, monkeypatch, equal):
+    f = int_v_lambda(lattice_from_invariants(F3, (1, 1, 1)))
+    monkeypatch.setattr(schwartz, "np", _NoNumpy())
+    with pytest.raises(BudgetExceeded):
+        equal(fourier(f), f.scale(-1), cap=100)
+
+
+def test_int64_bound_refuses_before_numpy(F3, monkeypatch):
+    # S/I = L/p^10 L: 3^40 cosets are within the cap, but residues modulo
+    # p^20 would overflow int64 products
+    L = lattice_from_invariants(F3, (0, 0))
+    f = LatticeFunction.indicator(L) - LatticeFunction.indicator(_scaled(L, F3.ppow(10)))
+    monkeypatch.setattr(schwartz, "np", _NoNumpy())
+    with pytest.raises(BudgetExceeded):
+        functions_equal(f, LatticeFunction(()), cap=10**40)

@@ -2,11 +2,13 @@
 
 These pin the structured oracle's orbit-stratification path against the
 definitional enumeration at precision 2, and re-certify the vertex-window
-choice on the heaviest acceptance flats.  They run in a few minutes and are
-kept out of the default suite.
+choice on the heaviest acceptance flats and the coset scatter of
+`schwartz.functions_equal` against its reference on a larger grid.  They run
+in a few minutes and are kept out of the default suite.
 """
 
 import os
+import random
 
 import pytest
 
@@ -43,3 +45,12 @@ def test_vertex_window_widening_heavy_flats():
         base = {v.key() for v in vertex_overlattices(Lf, 3)}
         widened = {v.key() for v in vertex_overlattices(Lf, 3, widen=1)}
         assert base == widened, invs
+
+
+@slow
+def test_coset_scatter_matches_reference_larger_grid():
+    from test_schwartz import SCATTER_CASES, scatter_matches_reference
+
+    grid = SCATTER_CASES + [(3, (3, 3)), (3, (1, 4)), (3, (0, 2, 2)), (3, (1, 2, 2)), (5, (2, 2)), (5, (0, 1, 2)), (5, (1, 1, 1))]
+    for p, invs in grid:
+        assert scatter_matches_reference(p, invs, random.Random(f"slow {p} {invs}"), rounds=4) >= 4, (p, invs)
