@@ -259,9 +259,12 @@ def den_poly(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> DensityPoly:
 def derived_den(L: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Central derivative -d/dX|_{X=1} Den(X, L), defined for odd val(L).
 
-    Cross-computed two ways (polynomial derivative and the weighted lattice
-    count sum of m(t(L')) over a second, independent enumeration) which must
-    agree exactly; the agreed value is kept with the class.
+    Computed two ways, which must agree exactly: the derivative of the
+    memoized polynomial, and the sum of m(t(L')) over a second run of the
+    same overlattice search.  Both read the same search, so the comparison
+    guards the arithmetic from the (length, type) histogram to the
+    polynomial and its derivative, not the search itself.  The agreed value
+    is kept with the class.
     """
     if not L.is_integral():
         raise PreconditionViolated("derived density requires an integral lattice")

@@ -515,6 +515,7 @@ class EmbeddedLattice:
         d = self._cache.get("dual")
         if d is None:
             d = EmbeddedLattice(self.space, mmul(self.basis, minv(mconj(self.gram))), _check=False)
+            d._cache["dual"] = self  # the dual of the dual is this lattice
             self._cache["dual"] = d
         return d
 
@@ -708,64 +709,6 @@ def with_valuation(space: HermSpace, w, v: int):
     return tuple(s * c for c in w)
 
 
-_HENSEL_PAD = 24
-
-
-def _vector_of_valuation(space: HermSpace, cols, v: int, pad: int = _HENSEL_PAD):
-    """A vector in span(cols) with val((x, x)) = v exactly.
-
-    Uses a diagonalization of the standard lattice on the span; a parity
-    mismatch on every diagonal slot is resolved by a two-slot combination whose
-    norm is p * unit, solved by Hensel lifting to high precision.  The unit
-    part of the resulting norm is not normalized (densities never see it).
-    """
-    fld = space.params
-    sub = EmbeddedLattice(space, mat([[c[i] for c in cols] for i in range(space.dim)]))
-    diag = sub.orthogonal_basis()
-    vals = [int(diag.gram[i][i].valuation()) for i in range(diag.rank)]
-    for i, w in enumerate(vals):
-        if (w - v) % 2 == 0:
-            scale = fld.ppow((v - w) // 2)
-            return tuple(scale * x for x in diag.column(i))
-    pairs = [(i, j) for i in range(len(vals)) for j in range(i + 1, len(vals)) if (vals[i] - vals[j]) % 2 == 0]
-    if not pairs:
-        raise HermSiegelError(f"no vector of valuation {v} in this span (parity)")
-    i, j = pairs[0]
-    wi, wj = vals[i], vals[j]
-    # x = fi + z * p^((wi-wj)/2) fj has norm p^wi * (ui + N(z) uj); choose
-    # N(z) = (p - ui) / uj mod p^K so the norm is p^(wi+1) * unit.
-    k = max(v, wi) + pad
-    ring = fld.residue_ring(k)
-    ui = diag.gram[i][i]
-    uj = diag.gram[j][j]
-    uival = int(ui.valuation())
-    ui_unit = ui / fld.ppow(uival)
-    uj_unit = uj / fld.ppow(int(uj.valuation()))
-    target = (fld.p - reduce_mod(ui_unit, k).a) * pow(reduce_mod(uj_unit, k).a, -1, ring.modulus) % ring.modulus
-    z = norm_solve(ring, target).lift() if target % fld.p != 0 else fld.one  # target is a unit since p odd
-    shift = fld.ppow((wi - wj) // 2)
-    x = tuple(diag.column(i)[r] + z * shift * diag.column(j)[r] for r in range(space.dim))
-    got = space.vector_val(x)
-    if got != wi + 1:
-        raise HermSiegelError("Hensel construction failed")
-    scale = fld.ppow((v - wi - 1) // 2)
-    if (v - wi - 1) % 2 != 0:
-        raise HermSiegelError(f"no vector of valuation {v} in this span (parity)")
-    return tuple(scale * y for y in x)
-
-
-def vectors_realizing(space: HermSpace, vals):
-    """Pairwise orthogonal vectors with prescribed norm valuations."""
-    cols = [tuple(space.params.one if i == k else space.params.zero for i in range(space.dim)) for k in range(space.dim)]
-    out = []
-    for v in vals:
-        x = _vector_of_valuation(space, cols, v)
-        out.append(x)
-        comp = orthogonal_complement_in(space, out)
-        cols = [tuple(comp[i][j] for i in range(space.dim)) for j in range(len(comp[0]) if comp else 0)]
-    return out
-
-
 def _diag_space(fld: Field, vals) -> HermSpace:
     n = len(vals)
     g = [[fld.ppow(int(v)) if i == j else fld.zero for j in range(n)] for i, v in enumerate(vals)]
@@ -807,16 +750,42 @@ def flat_from_invariants(fld: Field, invs, kind: str) -> tuple[EmbeddedLattice, 
 
 def lattice_in_standard_space(fld: Field, invs, kind: str | None = None) -> EmbeddedLattice:
     """Same invariants realized inside the literal standard space (identity or
-    diag(1,..,1,p) Gram); used to randomize embeddings in invariance tests."""
+    diag(1,..,1,p) Gram), with column i of norm valuation a_i and a diagonal
+    Gram.
+
+    Written down directly: an even a takes a coordinate of its own as
+    p^(a/2) e_s; in the nonsplit space one odd a takes the last coordinate as
+    p^((a-1)/2) e_n; the other odd invariants pair up on two coordinates as
+    p^((a_i-1)/2) (e_s + z e_t) and p^((a_j-1)/2) (-conj(z) e_s + e_t), which
+    are orthogonal, with N(z) = p - 1 mod p^2 so that 1 + N(z) is p times a
+    unit.
+    """
     invs = tuple(sorted(int(a) for a in invs))
     parity = sum(invs) % 2
     if kind is None:
         kind = "nonsplit" if parity else "split"
-    space = standard_space(kind, len(invs), fld)
-    if mdet(space.gram).valuation() % 2 != parity:
+    n = len(invs)
+    space = standard_space(kind, n, fld)
+    if (kind == "nonsplit") != parity:
         raise UsageError(f"invariants {invs} cannot fill a {kind} space of the same rank")
-    cols = vectors_realizing(space, invs)
-    L = EmbeddedLattice(space, mat([[c[i] for c in cols] for i in range(space.dim)]))
+    entries = [None] * n  # column i as {coordinate: entry}
+    coords = iter(range(n - 1 if parity else n))
+    odd = [i for i, a in enumerate(invs) if a % 2]
+    if parity:
+        i = odd.pop()
+        entries[i] = {n - 1: fld.ppow((invs[i] - 1) // 2)}
+    for i, a in enumerate(invs):
+        if a % 2 == 0:
+            entries[i] = {next(coords): fld.ppow(a // 2)}
+    if odd:
+        z = norm_solve(fld.residue_ring(2), fld.p - 1).lift()
+        for i, j in zip(odd[::2], odd[1::2]):
+            s, t = next(coords), next(coords)
+            ci, cj = fld.ppow((invs[i] - 1) // 2), fld.ppow((invs[j] - 1) // 2)
+            entries[i] = {s: ci, t: ci * z}
+            entries[j] = {s: -(cj * z.conjugate()), t: cj}
+    L = EmbeddedLattice(space, mat([[col.get(r, fld.zero) for col in entries] for r in range(n)]), _check=False)
+    # _orthogonalize shares no code with the construction above
     assert tuple(L.invariants()) == invs
     return L
 

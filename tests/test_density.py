@@ -224,7 +224,7 @@ def test_derived_den_cross_checks_once_per_class(F3, rng, monkeypatch):
     calls = _count_enumerations(monkeypatch)
     L = lattice_from_invariants(F3, (0, 1, 2))
     d = derived_den(L)
-    assert len(calls) == 2  # the polynomial, then the independent weighted count
+    assert len(calls) == 2  # the polynomial, then the same search again for the weighted count
     assert d == -den_poly(L).derivative_at_one()
     assert derived_den(rebased(L, random_unimodular(F3, L.rank, rng))) == d
     assert derived_den(lattice_in_standard_space(F3, (0, 1, 2))) == d

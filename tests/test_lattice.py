@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from conftest import random_lattice
 from hermsiegel.errors import DegenerateLattice, UsageError
+from hermsiegel.ring import field
 from hermsiegel.lattice import (
     EmbeddedLattice,
     HermSpace,
@@ -67,6 +69,15 @@ def test_dual_laws(F3, rng):
         assert D.dual() == L
     one = lattice_from_invariants(F3, (1,))
     assert tuple(one.dual().invariants()) == (-1,)
+
+
+def test_dual_of_dual_is_the_lattice(F3, rng):
+    for _ in range(6):
+        L = random_lattice(F3, rng, max_rank=3, max_val=4)
+        D = L.dual()
+        assert D.dual() is L
+        # the dual of D's basis, inverted afresh, is the same lattice
+        assert EmbeddedLattice(D.space, D.basis).dual().key() == L.key()
 
 
 def test_vol(F3):
@@ -160,12 +171,27 @@ def test_integrality(F3, rng):
         assert cand.is_integral() == all(a >= 0 for a in cand.invariants())
 
 
-def test_standard_space_embedding_matches_diag_model(F3, rng):
-    for invs in [(1,), (0, 2), (1, 1), (1, 2, 3)]:
-        L = lattice_in_standard_space(F3, invs)
-        assert tuple(L.invariants()) == tuple(sorted(invs))
-        parity = sum(invs) % 2
-        assert L.space.split_flag == (parity == 0)
+def test_standard_space_embedding_matches_diag_model():
+    """Every sorted tuple of rank <= 5 and sum <= 9 at p = 3, 5, 7, 11: the
+    written-down basis lives in the standard space of its parity, has a
+    diagonal Gram whose entry i has valuation a_i, and a wrong explicit kind
+    is refused."""
+    for p, r in product((3, 5, 7, 11), range(1, 6)):
+        fld = field(p)
+        for invs in combinations_with_replacement(range(10), r):
+            if sum(invs) > 9:
+                continue
+            kind = "nonsplit" if sum(invs) % 2 else "split"
+            L = lattice_in_standard_space(fld, invs)
+            assert L.space == standard_space(kind, r, fld)
+            G = L.gram
+            assert all(G[i][j].is_zero() for i in range(r) for j in range(r) if i != j)
+            assert [G[i][i].valuation() for i in range(r)] == list(invs)
+            assert L.is_integral()
+            assert tuple(L.invariants()) == invs
+            wrong = "split" if kind == "nonsplit" else "nonsplit"
+            with pytest.raises(UsageError):
+                lattice_in_standard_space(fld, invs, wrong)
 
 
 def test_flat_construction(F3):
