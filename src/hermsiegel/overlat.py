@@ -3,24 +3,28 @@
 Every integral L' containing L sits between L and L^v, so the search space is
 the finite module L^v/L = (+) O_F/p^(a_i), with a_0 <= ... <= a_(r-1).
 Submodules are enumerated without duplication through canonical triangular
-matrices H over O_F/p^k whose pivots are powers of p; the containment
-congruences are solved exactly entry by entry, so only genuine submodules are
-ever generated.  H is filled column by column, left to right, and each column
-bottom-up.  L' is integral iff its Gram matrix W = H^H D H, with D the diagonal
-Gram of the dual basis scaled by p^(a_(r-1)), vanishes mod p^(a_(r-1)).
-Because H is upper triangular, W[j][m] for j <= m depends on columns j and m
-only, so a candidate is rejected as soon as a column makes its Gram block
-non-integral, and inside a column as soon as the rows set so far fix a
-non-zero residue of W (see `_overlattice_search`).  Both checks are exact:
-the enumeration yields the same set as lifting every submodule and testing
-its integrality.
+matrices H over O_F/p^k whose pivots are powers of p.  A zero invariant adds
+O_F/p^0 = 0 to L^v/L, so the unimodular part splits off: its rows and columns
+of H are the identity, and the search runs over the positive invariants only.
+H is filled column by column, left to right, and each column bottom-up.
+L' is integral iff its Gram matrix W = H^H D H, with D the diagonal Gram of
+the dual basis scaled by p^(a_(r-1)), vanishes mod p^(a_(r-1)).  Because H is
+upper triangular, W[j][m] for j <= m depends on columns j and m only, and
+each condition that the rows set so far put on W is a congruence on the next
+entry: linear in H[i][m] for j < m, and on the norm of H[i][m] for j = m.
+So each entry is solved for, not tried: the containment and linear
+congruences merge into one residue class, and the norm condition is met one
+p-adic digit at a time (see `_entry_solutions` and `_overlattice_search`).
+The solutions are exact: the enumeration yields the same set, in the same
+order, as lifting every submodule and testing its integrality.
 
 Each integral overlattice costs one rank over the residue field F_(q^2), read
-off arithmetic tables: its type is r minus the rank of its Gram mod p.  The
-search streams the overlattices; `overlattice_profiles` keeps only their
-(length, type) pairs, which is all the density sums need.  Only the records
-of `integral_overlattices` and `cyclic_overlattices` pay a second rank, for
-the cyclicity of L'/L.
+off arithmetic tables: its type is the number of positive invariants minus
+the rank of their block of the Gram mod p.  The search streams the
+overlattices; `overlattice_profiles` keeps only their (length, type) pairs,
+which is all the density sums need.  Only the records of
+`integral_overlattices` and `cyclic_overlattices` pay a second rank, for the
+cyclicity of L'/L.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from .lattice import (
 )
 from .ring import reduce
 
-# candidate budget: the largest acceptance instance, diag(p^4, p^4, p) at
-# q = 5, generates 653,457 submodule candidates, so the default leaves ample room
+# budget of residues tested: the largest acceptance instance, diag(p^4, p^4, p)
+# at q = 5, tests 260,278 (digit tests included; 653,457 when every residue
+# was tried), so the default leaves ample room
 DEFAULT_BUDGET = 10**8
 
 # the a-priori estimate overcounts (it ignores congruence failures), so the
@@ -64,96 +69,191 @@ def _pmul(u, v, eps):
     return (u[0] * v[0] + eps * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def _padd(u, v):
-    return (u[0] + v[0], u[1] + v[1])
+def _lift(x, e, k, p):
+    """The h in [0, p^k)^2 with h = x mod p^e (x reduced mod p^e), in
+    lexicographic order."""
+    pk = p**k
+    if e >= k:
+        return [x] if x[0] < pk and x[1] < pk else []
+    pe, n = p**e, p ** (k - e)
+    return [(x[0] + pe * u, x[1] + pe * v) for u in range(n) for v in range(n)]
 
 
-def _pdivides(pk, u):
-    return u[0] % pk == 0 and u[1] % pk == 0
+def _solve_linear(c, beta, T, p, eps):
+    """The solutions h of c h = beta mod p^T, as (y, f): they are the h with
+    h = y mod p^f, y reduced mod p^f; None if there are none.  With
+    c = p^v c' and c' a unit, h = (beta / p^v) conj(c') / N(c') mod p^(T - v)."""
+    cx, cy = c
+    bx, by = beta
+    v, pv = 0, 1
+    while v < T and cx % p == 0 and cy % p == 0:
+        if bx % p or by % p:
+            return None
+        cx, cy, bx, by = cx // p, cy // p, bx // p, by // p
+        v, pv = v + 1, pv * p
+    if v == T:
+        return (0, 0), 0
+    pf = p ** (T - v)
+    ninv = pow((cx * cx - eps * cy * cy) % pf, -1, pf)
+    return ((bx * cx - eps * by * cy) * ninv % pf, (by * cx - bx * cy) * ninv % pf), T - v
 
 
-def _submodules(a, p, eps, budget, counter, entry_ok=None, ksum_target=None):
+def _entry_solutions(k, x, e, conds, t, T, p, eps, counter):
+    """The h in [0, p^k)^2 with h = x mod p^e, c h = beta mod p^T for each
+    (c, beta) in `conds`, and N(h) = t mod p^T, in lexicographic order.
+
+    The linear congruences merge with h = x mod p^e into one residue class
+    h = x mod p^E.  N(h) mod p^d reads only the p-adic digits of h below d, so
+    h is then built one digit at a time from digit E, keeping the partial
+    solutions whose norm is right mod p^(d+1), and the complete h mod p^T; the
+    digits from T on are free.  Each partial residue the walk tests adds one
+    to `counter[0]`; the complete ones it returns are counted by the caller."""
+    for c, beta in conds:
+        sol = _solve_linear(c, beta, T, p, eps)
+        if sol is None:
+            return []
+        y, f = sol
+        # two classes h = x mod p^e and h = y mod p^f meet iff they agree mod p^min(e, f)
+        pmin = p ** min(e, f)
+        if (x[0] - y[0]) % pmin or (x[1] - y[1]) % pmin:
+            return []
+        if f > e:
+            x, e = y, f
+    pT = p**T
+    if e >= k:
+        return [h for h in _lift(x, e, k, p) if (h[0] * h[0] - eps * h[1] * h[1] - t) % pT == 0]
+    if e:
+        counter[0] += 1
+        if (x[0] * x[0] - eps * x[1] * x[1] - t) % p ** min(e, T):
+            return []
+    partial, d = [x], e
+    while d < k and d < T:
+        pd = p**d
+        # the complete h (d + 1 = k) is checked mod p^T
+        pm = p ** (d + 1) if d + 1 < k else pT
+        nxt = []
+        for hx, hy in partial:
+            for ax in range(hx, hx + p * pd, pd):
+                na = ax * ax - t
+                for ay in range(hy, hy + p * pd, pd):
+                    if (na - eps * ay * ay) % pm == 0:
+                        nxt.append((ax, ay))
+        counter[0] += p * p * len(partial)
+        partial, d = nxt, d + 1
+    if d < k:
+        pd, n = p**d, p ** (k - d)
+        partial = [(hx + pd * u, hy + pd * v) for hx, hy in partial for u in range(n) for v in range(n)]
+    partial.sort()
+    return partial
+
+
+def _submodules(a, p, eps, budget, counter, entry_ok=None, ksum_target=None, solve=None):
     """Yield (kvals, H, cvec) for all submodules of (+)_i O/p^(a_i).  The
     lists are live: the next step of the search overwrites them, so a caller
     copies what it keeps.
 
     H is upper triangular with H[i][i] = p^(k_i) and H[i][m] reduced mod
-    p^(k_i) above the diagonal; its columns generate the submodule.  H is
-    filled column by column, left to right, and each column bottom-up: the
-    pivot H[m][m], then H[m-1][m], ..., H[0][m].  Containing p^(a_m) e_m is a
-    condition on column m alone: the solve c = cvec[m] of H c = p^(a_m) e_m is
-    supported on rows <= m, and its row-i equation
-    p^(k_i) c_i = -(H[i][i+1] c_(i+1) + ... + H[i][m] c_m) is a congruence on
-    H[i][m] mod p^(k_i) whose other terms are already set.  So the set of H
+    p^(k_i) above the diagonal; its columns generate the submodule.  Leading
+    zero invariants have k_i = 0 and entries reduced mod 1, so their rows and
+    columns are set to the identity once and the search runs over the rest.
+    H is filled column by column, left to right, and each column bottom-up:
+    the pivot H[m][m], then H[m-1][m], ..., H[0][m], walking these slots in
+    one loop with a stack of choice lists.  Containing p^(a_m) e_m is a
+    condition on column m alone: the solve c = cvec[m] of H c = p^(a_m) e_m
+    is supported on rows <= m, and its row-i equation
+    p^(k_i) c_i = -(H[i][i+1] c_(i+1) + ... + H[i][m] c_m) is a congruence
+    H[i][m] = x mod p^e whose other terms are already set.  So the set of H
     yielded is the canonical one, whatever the order of the entries.
-    `counter` is a single-cell list accumulating generated off-diagonal
-    entries, and `entry_ok(i, m, H)` may reject a branch right after H[i][m]
+
+    `solve(i, m, H, k_i, x, e)` may narrow that class to the sorted entries
+    worth trying; by default every residue in it is tried.  `counter` is a
+    single-cell list accumulating the residues tried (and any that `solve`
+    tests), and `entry_ok(i, m, H)` may reject a branch right after H[i][m]
     is set (i = m for the pivot).  When `ksum_target` is set, only pivot
     vectors with that total are visited.
     """
     r = len(a)
-    if r == 0:
-        yield [], [], []
+    z = 0
+    while z < r and a[z] == 0:
+        z += 1
+    H = [[(0, 0)] * r for _ in range(r)]
+    kvals = [0] * r
+    cvec = [[(0, 0)] * r for _ in range(r)]
+    for l in range(z):
+        H[l][l] = cvec[l][l] = (1, 0)
+    slots = [(i, m) for m in range(z, r) for i in range(m, z - 1, -1)]
+    last = len(slots) - 1
+    if last < 0:
+        yield kvals, H, cvec
         return
     suffix_max = [0] * (r + 1)
     for i in reversed(range(r)):
         suffix_max[i] = suffix_max[i + 1] + a[i]
-    H = [[(0, 0)] * r for _ in range(r)]
-    kvals = [0] * r
-    cvec = [[(0, 0)] * r for _ in range(r)]
 
-    def entries(i, m):
-        """Enumerate H[i][m], ..., H[0][m], then the columns right of m."""
-        if i < 0:
-            yield from column(m + 1)
-            return
-        c = cvec[m]
-        pk = p ** kvals[i]
-        g = a[m] - kvals[m]
-        pg = p**g
-        s = (0, 0)
-        for l in range(i + 1, m):
-            s = _padd(s, _pmul(H[i][l], c[l], eps))
-        # congruence: s + H[i][m] * p^g == 0 mod p^(k_i)
-        if g >= kvals[i]:
-            if not _pdivides(pk, s):
-                return
-            choices = [(x, y) for x in range(pk) for y in range(pk)]
-        else:
-            if not _pdivides(pg, s):
-                return
-            step = p ** (kvals[i] - g)
-            base = (-(s[0] // pg) % step, -(s[1] // pg) % step)
-            choices = [(base[0] + step * x, base[1] + step * y) for x in range(pg) for y in range(pg)]
-        for h in choices:
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceeded(f"submodule enumeration exceeded budget {budget}")
-            H[i][m] = h
-            if entry_ok is not None and not entry_ok(i, m, H):
-                continue
-            c[i] = (-((s[0] + h[0] * pg) // pk), -((s[1] + h[1] * pg) // pk))
-            yield from entries(i - 1, m)
-
-    def column(m):
-        if m == r:
-            yield None
-            return
-        done = sum(kvals[:m])
-        for k in range(a[m] + 1):
+    def options(pos):
+        """The choices for slot `pos` and, off the diagonal, the (s_x, s_y, p^g,
+        p^(k_i)) of its containment congruence s + H[i][m] p^g = 0 mod p^(k_i)."""
+        i, m = slots[pos]
+        if i == m:
+            ks = range(a[m] + 1)
             if ksum_target is not None:
                 # columns m+1.. can still contribute at most suffix_max[m + 1]
-                if done + k > ksum_target or done + k + suffix_max[m + 1] < ksum_target:
-                    continue
+                done = sum(kvals[:m])
+                ks = [k for k in ks if done + k <= ksum_target <= done + k + suffix_max[m + 1]]
+            return ks, None
+        c, Hi, ki = cvec[m], H[i], kvals[i]
+        pk, g = p**ki, a[m] - kvals[m]
+        pg = p**g
+        sx = sy = 0
+        for l in range(i + 1, m):
+            (hx, hy), (cx, cy) = Hi[l], c[l]
+            sx += hx * cx + eps * hy * cy
+            sy += hx * cy + hy * cx
+        if g >= ki:
+            if sx % pk or sy % pk:
+                return (), None
+            x, e = (0, 0), 0
+        else:
+            if sx % pg or sy % pg:
+                return (), None
+            e = ki - g
+            step = p**e
+            x = (-(sx // pg) % step, -(sy // pg) % step)
+        hs = _lift(x, e, ki, p) if solve is None else solve(i, m, H, ki, x, e)
+        counter[0] += len(hs)
+        if counter[0] > budget:
+            raise BudgetExceeded(f"submodule enumeration exceeded budget {budget}")
+        return hs, (sx, sy, pg, pk)
+
+    choices, congruence = [None] * (last + 1), [None] * (last + 1)
+    at = [0] * (last + 1)
+    choices[0], congruence[0] = options(0)
+    pos = 0
+    while pos >= 0:
+        opts, n = choices[pos], at[pos]
+        if n == len(opts):
+            pos -= 1
+            continue
+        at[pos] = n + 1
+        i, m = slots[pos]
+        if i == m:
+            k = opts[n]
             kvals[m] = k
             H[m][m] = (p**k, 0)
             cvec[m][m] = (p ** (a[m] - k), 0)
-            if entry_ok is not None and not entry_ok(m, m, H):
-                continue
-            yield from entries(m - 1, m)
-
-    for _ in column(0):
-        yield kvals, H, cvec
+        else:
+            H[i][m] = h = opts[n]
+        if entry_ok is not None and not entry_ok(i, m, H):
+            continue
+        if i < m:
+            sx, sy, pg, pk = congruence[pos]
+            cvec[m][i] = (-((sx + h[0] * pg) // pk), -((sy + h[1] * pg) // pk))
+        if pos == last:
+            yield kvals, H, cvec
+            continue
+        pos += 1
+        choices[pos], congruence[pos] = options(pos)
+        at[pos] = 0
 
 
 def _estimate(a, q):
@@ -329,12 +429,14 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     Returns (search, build, dual_cols): `search` yields (length, type, H, cvec,
     Gram mod p) per overlattice, with H, cvec and the Gram live (overwritten
     by the next step, see `_submodules`), `build(H)` lifts H to the lattice,
-    and dual_cols are the dual-basis columns H is written in.  The
-    integrality and type checks run in modular integer arithmetic, val(z) >= c
-    being decided exactly by z mod p^c, and integrality is checked entry by
-    entry while H is filled.  With `val_target` set, only overlattices of that
-    valuation are enumerated.  The estimate gate refuses a search before it
-    starts."""
+    and dual_cols are the dual-basis columns H is written in.  Integrality is
+    decided in modular integer arithmetic, val(z) >= c being decided exactly
+    by z mod p^c: each entry of H is solved for from the congruences that the
+    Gram conditions of the rows set so far put on it, and `entry_ok` checks
+    the full conditions and accumulates W.  The unimodular part splits off:
+    its block of H is the identity and its block of the Gram mod p the unit
+    diagonal.  With `val_target` set, only overlattices of that valuation are
+    enumerated.  The estimate gate refuses a search before it starts."""
     fld = L.field
     diag = L.orthogonal_basis()
     a = [int(diag.gram[i][i].valuation()) for i in range(diag.rank)]
@@ -347,6 +449,7 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     if est > _ESTIMATE_SLACK * budget:
         raise BudgetExceeded(f"estimated submodule count {est} exceeds budget {budget}")
     r = len(a_sorted)
+    z = sum(1 for x in a_sorted if x == 0)
     p, eps = fld.p, fld.eps
     amax = a_sorted[-1] if a_sorted else 0
     mod = p ** (amax + 1)
@@ -355,7 +458,8 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     scales = [fld.ppow(-ai) for ai in a_sorted]
     dual_cols = [tuple(scales[i] * x for x in cols[i]) for i in range(r)]
     units = [diag.gram[order[i]][order[i]] * scales[i] for i in range(r)]
-    # scaled diagonal p^(amax) * gdiag_l = p^(amax - a_l) * unit_l, mod p^(amax+1)
+    # scaled diagonal V_l = p^(amax) * gdiag_l = p^(amax - a_l) * unit_l, mod
+    # p^(amax+1); unit_l lies in Q_p, the diagonal of a hermitian form
     vdiag = []
     for l in range(r):
         u = reduce(units[l], amax + 1)
@@ -374,16 +478,19 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
             return iter(()), build, dual_cols
         ksum_target = (sum(a_sorted) + val_target) // 2
 
-    # W = H^H diag(p^amax * gdiag) H mod p^(amax+1), integral iff W == 0 mod
-    # p^amax.  W[j][m] (j <= m) depends on columns j and m only, and row l
-    # adds conj(H[l][j]) V_l H[l][m], a multiple of p^(amax - a_l).  With a
-    # sorted, the rows above i add multiples of depth[i] = p^(amax - a_(i-1)),
-    # so once rows i..m of column m are set, rows i..j of every W[j][m] must
-    # vanish mod depth[i]; at i = 0 they are all of W[j][m], due mod p^amax.
-    depth = [pam] + [p ** (amax - a_sorted[i - 1]) for i in range(1, r)]
+    # W = H^H diag(V) H mod p^(amax+1), integral iff W == 0 mod p^amax.
+    # W[j][m] (j <= m) depends on columns j and m only, and row l adds
+    # conj(H[l][j]) V_l H[l][m], a multiple of p^(amax - a_l).  With a sorted,
+    # the rows above i add multiples of depth[i] = p^(amax - a_(i-1)), so once
+    # rows i..m of column m are set, rows i..j of every W[j][m] must vanish
+    # mod depth[i]; at the first positive row z they are all of W[j][m], due
+    # mod p^amax.  The zero rows add nothing to a positive column.
+    depth = [pam] * (z + 1) + [p ** (amax - a_sorted[i - 1]) for i in range(z + 1, r)]
     # acc[m][i][j]: the rows i..j of W[j][m]
     acc = [[[(0, 0)] * r for _ in range(r)] for _ in range(r)]
     gmodp = [[(0, 0)] * r for _ in range(r)]
+    for l in range(z):
+        gmodp[l][l] = (vdiag[l][0] // pam, -(vdiag[l][1] // pam) % p)
 
     def entry_ok(i, m, H):
         va, vb = vdiag[i]
@@ -391,7 +498,8 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
         ta = va * hx + eps * vb * hy  # V_i H[i][m]
         tb = va * hy + vb * hx
         row, below, pt = acc[m][i], acc[m][i + 1] if i < m else None, depth[i]
-        # the norm entry W[m][m] first: it rejects most candidates
+        # off the diagonal `solve` has met these conditions already; checking
+        # them again costs little and keeps a wrong solution from passing
         for j in range(m, i - 1, -1):
             gx, gy = H[i][j]
             wa = gx * ta - eps * gy * tb  # conj(H[i][j]) V_i H[i][m]
@@ -404,18 +512,44 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
             if wa % pt or wb % pt:
                 return False
             row[j] = (wa, wb)
-        if i == 0:
-            for j in range(m + 1):
+        if i == z:
+            for j in range(z, m + 1):
                 wa, wb = row[j]
                 gmodp[j][m] = (wa // pam, wb // pam)
                 gmodp[m][j] = (wa // pam, -(wb // pam) % p)
         return True
 
+    # Row i (i < m) of column m must make conj(H[i][j]) V_i H[i][m] + below[j]
+    # vanish mod depth[i] for j = i..m, below[j] being the rows i+1..j of
+    # W[j][m], which vanish mod depth[i+1] = p^w, w = val(V_i), since row i+1
+    # (or the pivot) was checked.  With V_i = p^w u_i and depth[i] = p^(w + T),
+    # T = a_i - a_(i-1) (a_z for the first positive row), this is
+    # conj(H[i][j]) h = -u_i^-1 below[j] / p^w mod p^T for j < m, linear in
+    # h = H[i][m], and N(h) = -u_i^-1 below[m] / p^w mod p^T for j = m.  Inside
+    # a block of equal invariants T = 0: no condition reads h.
+    texp = [0] * z + [a_sorted[i] - (a_sorted[i - 1] if i > z else 0) for i in range(z, r)]
+    pw = [p ** (amax - ai) for ai in a_sorted]
+    uinv = [0] * z + [pow(vdiag[i][0] // pw[i], -1, p ** (a_sorted[i] + 1)) for i in range(z, r)]
+    counter = [0]
+
+    def solve(i, m, H, k, x, e):
+        T = texp[i]
+        if T == 0:
+            return _lift(x, e, k, p)
+        below, pwi, ui, pT = acc[m][i + 1], pw[i], uinv[i], p**T
+        conds = [((p**k, 0), (0, 0))]
+        for j in range(i + 1, m):
+            gx, gy = H[i][j]
+            bx, by = below[j]
+            conds.append(((gx, -gy), (-(bx // pwi) * ui % pT, -(by // pwi) * ui % pT)))
+        return _entry_solutions(k, x, e, conds, -(below[m][0] // pwi) * ui % pT, T, p, eps, counter)
+
     def search():
         total = sum(a_sorted)
-        for kvals, H, cvec in _submodules(tuple(a_sorted), p, eps, budget, [0], entry_ok, ksum_target):
-            # type: number of positive invariants = r - rank of the Gram mod p
-            yield total - sum(kvals), r - _pair_rank_mod_p(gmodp, p, eps), H, cvec, gmodp
+        for kvals, H, cvec in _submodules(tuple(a_sorted), p, eps, budget, counter, entry_ok, ksum_target, solve):
+            # type: the positive invariants, r - z, less the rank of their block of the Gram mod p
+            block = [row[z:] for row in gmodp[z:]] if z else gmodp
+            yield total - sum(kvals), r - z - _pair_rank_mod_p(block, p, eps), H, cvec, gmodp
 
     return search(), build, dual_cols
 

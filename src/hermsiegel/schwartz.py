@@ -277,7 +277,11 @@ def functions_equal_reference(f: LatticeFunction, g: LatticeFunction, cap: int =
 
 
 def type1_overlattices(Lambda: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
-    return [rec.lattice for rec in integral_overlattices(Lambda, budget) if rec.lattice.is_vertex(1)]
+    """The vertex overlattices of type 1: type 1 at valuation 1, read off the
+    records (an overlattice of length l has valuation val(Lambda) - 2 l)."""
+    val = Lambda.val()
+    recs = integral_overlattices(Lambda, budget)
+    return [rec.lattice for rec in recs if rec.type_t == 1 and val - 2 * rec.length == 1]
 
 
 def int_v_lambda(Lambda: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> LatticeFunction:

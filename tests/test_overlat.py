@@ -137,10 +137,16 @@ def _unpruned_family(L):
         (5, (1, 2)),
         (5, (2, 2)),
         (5, (2, 3)),
+        # zero invariants with ties, gaps of at least 2 below row 0, and p = 7
+        (3, (0, 0, 2, 2)),
+        (3, (1, 4)),
+        (3, (0, 2, 4)),
+        (7, (1, 2)),
+        (7, (0, 1, 3)),
     ],
 )
-def test_family_matches_unpruned_search(p, invs, F3, F5, rng):
-    fld = {3: F3, 5: F5}[p]
+def test_family_matches_unpruned_search(p, invs, rng):
+    fld = field(p)
     L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
     ref = _unpruned_family(L)
     for val_target in [None, *range(sum(invs) + 1)]:
@@ -153,8 +159,83 @@ def test_family_matches_unpruned_search(p, invs, F3, F5, rng):
     assert got == sorted((row[0], row[2], row[3]) for row in ref), invs
 
 
+@pytest.mark.parametrize("p, invs", [(3, (0, 0, 2, 2)), (3, (1, 2, 3)), (5, (0, 1, 3)), (7, (0, 1, 3))])
+def test_search_order_matches_unpruned_search(p, invs, rng):
+    # each entry's solutions are sorted, so the overlattices come out in the
+    # order of the enumeration that tries every residue
+    fld = field(p)
+    L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
+    want = [row[0] for row in _unpruned_family(L)]
+    search, _, _ = _overlattice_search(L, DEFAULT_BUDGET)
+    assert [tuple(map(tuple, H)) for _, _, H, _, _ in search] == want
+    fam, _, _ = _overlattice_family(L, DEFAULT_BUDGET)
+    assert [tuple(map(tuple, H)) for H, _, _ in fam] == want
+
+
+def _brute(p, k, x, e, conds, T, t=None):
+    """The h in [0, p^k)^2 with h = x mod p^e, c h = beta mod p^T for each
+    (c, beta), and, unless t is None, N(h) = t mod p^T; by trying them all."""
+    pe, pT, eps = p**e, p**T, field(p).eps
+    return [
+        (hx, hy)
+        for hx in range(x[0], p**k, pe)
+        for hy in range(x[1], p**k, pe)
+        if all(
+            (cx * hx + eps * cy * hy - bx) % pT == 0 == (cx * hy + cy * hx - by) % pT
+            for (cx, cy), (bx, by) in conds
+        )
+        and (t is None or (hx * hx - eps * hy * hy - t) % pT == 0)
+    ]
+
+
+def _coefficients(p, T, rng):
+    """Two units, a non-unit of each valuation from 1 to T, and zero."""
+    unit = (rng.randrange(1, p), rng.randrange(p))
+    return [unit, (rng.randrange(p), rng.randrange(1, p))] + [
+        (p**v * rng.randrange(1, p), p**v * rng.randrange(p)) for v in range(1, T + 1)
+    ] + [(0, 0)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_linear_congruence_matches_brute_force(p, rng):
+    eps = field(p).eps
+    for T in (1, 2, 3):
+        coefficients = _coefficients(p, T, rng)
+        # at p^T = 343 a brute force tries 117,649 residues: a unit, a
+        # non-unit and zero are enough there
+        for c in coefficients if p**T < 343 else [coefficients[0], coefficients[2], (0, 0)]:
+            for beta in [(0, 0), (rng.randrange(p**T), rng.randrange(p**T)), (p * rng.randrange(p), 0)]:
+                sol = overlat._solve_linear(c, beta, T, p, eps)
+                got = [] if sol is None else overlat._lift(*sol, T, p)
+                assert got == _brute(p, T, (0, 0), 0, [(c, beta)], T), (c, beta, T)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_entry_solutions_match_brute_force(p, rng):
+    # the merged congruences and the digit-by-digit norm filter give the same
+    # residues, in the same order, as testing every h in [0, p^k)^2
+    eps = field(p).eps
+    cases = 0
+    for k in (1, 2, 3):
+        for T in range(1, 4):
+            for _ in range({3: 12, 5: 4, 7: 2}[p] if k == 3 else 12):
+                e = rng.randrange(k + 1)
+                x = (rng.randrange(p**e), rng.randrange(p**e))
+                coefficients = _coefficients(p, T, rng)
+                conds = [(c, (rng.randrange(p**T), rng.randrange(p**T))) for c in rng.sample(coefficients, 2)]
+                # solvable right-hand sides too: beta = c h0 for a random h0
+                h0 = (rng.randrange(p**k), rng.randrange(p**k))
+                conds += [(c, overlat._pmul(c, h0, eps)) for c in rng.sample(coefficients, rng.randrange(2))]
+                for t in (rng.randrange(p**T), p * rng.randrange(p), h0[0] ** 2 - eps * h0[1] ** 2):
+                    counter = [0]
+                    got = overlat._entry_solutions(k, x, e, conds, t % p**T, T, p, eps, counter)
+                    assert got == _brute(p, k, x, e, conds, T, t), (k, x, e, conds, t, T)
+                    cases += 1
+    assert cases > 50
+
+
 def _candidates(monkeypatch, fld, invs):
-    """Submodule candidates generated by one overlattice enumeration."""
+    """Residues tested (the budget counter) by one overlattice enumeration."""
     counters = []
     enumerate_submodules = overlat._submodules
 
@@ -169,12 +250,25 @@ def _candidates(monkeypatch, fld, invs):
 
 
 def test_candidate_counts(F3, F5, monkeypatch):
-    # an entry is rejected as soon as the Gram block it completes is not
-    # integral; the search without that check generated 11,132, 24,319 and
-    # 10,225 candidates on these classes
-    assert _candidates(monkeypatch, F3, (1, 1, 1, 1)) == 3636
-    assert _candidates(monkeypatch, F3, (2, 2, 2)) == 16526
-    assert _candidates(monkeypatch, F5, (1, 2, 2)) == 5280
+    # residues tested, digit tests included: each entry is solved for from the
+    # congruences the Gram conditions put on it.  Trying every residue and
+    # rejecting it once the Gram block it completes is not integral tested
+    # 3,636, 16,526 and 5,280 on these classes, and without that check the
+    # search generated 11,132, 24,319 and 10,225
+    assert _candidates(monkeypatch, F3, (1, 1, 1, 1)) == 1760
+    assert _candidates(monkeypatch, F3, (2, 2, 2)) == 4945
+    assert _candidates(monkeypatch, F5, (1, 2, 2)) == 5465
+
+
+def test_budget_counts_digit_tests(F3, monkeypatch):
+    # (4, 6) solves its row-0 entries one norm digit at a time; the budget
+    # counts every residue tested, so it is exactly the candidate count
+    count = _candidates(monkeypatch, F3, (4, 6))
+    monkeypatch.undo()
+    L = lattice_from_invariants(F3, (4, 6))
+    with pytest.raises(BudgetExceeded):
+        overlattice_profiles(L, budget=count - 1)
+    assert len(overlattice_profiles(L, budget=count)) == 432
 
 
 def test_profiles_rank_once_per_overlattice(F3, monkeypatch):

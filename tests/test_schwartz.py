@@ -74,6 +74,18 @@ def test_type1_overlattice_count(F3, F5):
         assert len(type1_overlattices(Lam)) == fld.q**3 + 1
 
 
+@pytest.mark.parametrize("p, count", [(3, 28), (5, 126), (7, 344)])
+def test_type1_overlattices_match_vertex_filter(p, count):
+    # the filter on the records (type 1 at valuation 1) keeps the lattices
+    # that the invariants of every built overlattice call type-1 vertices
+    fld = field(p)
+    Lam = lattice_from_invariants(fld, (1, 1, 1))
+    for lam in (Lam, rebased(Lam, random_unimodular(fld, 3, random.Random(p)))):
+        want = [rec.lattice.key() for rec in integral_overlattices(lam) if rec.lattice.is_vertex(1)]
+        assert [t.key() for t in type1_overlattices(lam)] == want
+        assert len(want) == count
+
+
 def test_int_v_lambda_values(F3):
     q = 3
     Lam = lattice_from_invariants(F3, (1, 1, 1))

@@ -1,5 +1,6 @@
 """The report scripts run end to end on their smallest grids."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,18 @@ def test_oracle_report_rows_ok():
 def test_make_tables_runs():
     rows = _run("make_tables.py", "--max-rank", "1", "--max-val", "2")
     assert [row.split()[0] for row in rows] == ["(0,)", "(1,)", "(2,)"]
+
+
+def test_mutant_table_matches_the_source():
+    # scripts/mutants.py runs only by hand; here each mutant's old text must
+    # still occur exactly once, and each test it names must still exist
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) >= 10
+    assert mutants.check_texts() == []
+    for mut in mutants.MUTANTS:
+        assert mut.file.startswith("src/"), mut.name
+        for test in mut.tests:
+            path, name = test.split("::")
+            assert f"def {name}(" in (mutants.ROOT / path).read_text(), (mut.name, test)

@@ -1,10 +1,12 @@
 """Expensive cross-validations, enabled with HERMSIEGEL_SLOW=1.
 
 These pin the structured oracle's orbit-stratification path against the
-definitional enumeration at precision 2, and re-certify the vertex-window
-choice on the heaviest acceptance flats and the coset scatter of
-`schwartz.functions_equal` against its reference on a larger grid.  They run
-in a few minutes and are kept out of the default suite.
+definitional enumeration at precision 2, re-certify the vertex-window choice
+on the heaviest acceptance flats and the coset scatter of
+`schwartz.functions_equal` against its reference on a larger grid, and check
+the overlattice search through `den_poly` against Terstiege's rank-3 closed
+form, which shares no code with it.  They run in a few minutes and are kept
+out of the default suite.
 """
 
 import os
@@ -12,6 +14,7 @@ import random
 
 import pytest
 
+from hermsiegel.density import den_poly, terstiege_rank3
 from hermsiegel.lattice import flat_from_invariants, lattice_from_invariants
 from hermsiegel.oracle import count_rep, count_rep_naive
 from hermsiegel.overlat import vertex_overlattices
@@ -54,3 +57,13 @@ def test_coset_scatter_matches_reference_larger_grid():
     grid = SCATTER_CASES + [(3, (3, 3)), (3, (1, 4)), (3, (0, 2, 2)), (3, (1, 2, 2)), (5, (2, 2)), (5, (0, 1, 2)), (5, (1, 1, 1))]
     for p, invs in grid:
         assert scatter_matches_reference(p, invs, random.Random(f"slow {p} {invs}"), rounds=4) >= 4, (p, invs)
+
+
+@slow
+@pytest.mark.parametrize("q, top", [(3, 7), (5, 5), (7, 4)])
+def test_den_poly_matches_terstiege_rank3(q, top):
+    fld = field(q)
+    for a in range(top + 1):
+        for b in range(a, top + 1, 2):
+            L = lattice_from_invariants(fld, tuple(sorted((a, b, 1))))
+            assert den_poly(L).coeffs == terstiege_rank3(a, b, q).coeffs, (q, a, b)
