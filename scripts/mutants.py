@@ -42,6 +42,10 @@ COUNTS = "tests/test_overlat.py::test_candidate_counts"
 SOLVER = "tests/test_overlat.py::test_entry_solutions_match_brute_force"
 LINEAR = "tests/test_overlat.py::test_linear_congruence_matches_brute_force"
 RANK = "tests/test_overlat.py::test_pair_rank_matches_kernel_count"
+CONTAINS = "tests/test_overlat.py::test_submodules_contain_l"
+BORDER = "tests/test_overlat.py::test_bordered_rank_on_every_hermitian_3x3_over_f9"
+BORDER_RANDOM = "tests/test_overlat.py::test_bordered_rank_matches_full_elimination"
+TYPE = "tests/test_overlat.py::test_bordered_type_matches_full_elimination"
 
 MUTANTS = (
     Mutant(
@@ -75,8 +79,8 @@ MUTANTS = (
     Mutant(
         "wrong digit modulus",
         OVERLAT,
-        "pm = p ** (d + 1) if d + 1 < k else pT",
-        "pm = p**d if d + 1 < k else pT",
+        "delta = (hx * hx - eps * hy * hy - t) // pd % p",
+        "delta = (hx * hx - eps * hy * hy - t) // p1 % p",
         (SOLVER, COUNTS),
     ),
     Mutant(
@@ -128,7 +132,49 @@ MUTANTS = (
         OVERLAT,
         "x = (-(sx // pg) % step, -(sy // pg) % step)",
         "x = ((sx // pg) % step, (sy // pg) % step)",
-        (COUNTS,),
+        (CONTAINS, COUNTS),
+    ),
+    Mutant(
+        "conj dropped in conj(y) b",
+        OVERLAT,
+        "        dx -= yx * bx - eps * yy * by\n        dy -= yx * by - yy * bx\n",
+        "        dx -= yx * bx + eps * yy * by\n        dy -= yx * by + yy * bx\n",
+        (BORDER, BORDER_RANDOM, TYPE),
+    ),
+    Mutant(
+        "border outside the image of the leading block not seen",
+        OVERLAT,
+        "            return rho + 2\n",
+        "            pass\n",
+        (BORDER, BORDER_RANDOM, TYPE),
+    ),
+    Mutant(
+        "leading block left stale",
+        OVERLAT,
+        "            if m == r - 2:\n",
+        "            if m == r - 2 and lead[0][2] == []:\n",
+        (TYPE, FAMILY),
+    ),
+    Mutant(
+        "factor 2 dropped from the linear digit step",
+        OVERLAT,
+        "f = pow(2 * hx, -1, p)",
+        "f = pow(hx, -1, p)",
+        (SOLVER, FAMILY),
+    ),
+    Mutant(
+        "digit of a unit hy solved with the wrong sign",
+        OVERLAT,
+        "ay = hy + pd * (delta * pow(2 * eps * hy, -1, p) % p)",
+        "ay = hy + pd * (-delta * pow(2 * eps * hy, -1, p) % p)",
+        (SOLVER,),
+    ),
+    Mutant(
+        "non-unit shortcut applied when the last digit is due mod p^T",
+        OVERLAT,
+        "            if pm > p1:\n",
+        "            if pm > p1 and (hx % p or hy % p):\n",
+        (SOLVER,),
     ),
 )
 

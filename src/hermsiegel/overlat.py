@@ -14,16 +14,20 @@ each condition that the rows set so far put on W is a congruence on the next
 entry: linear in H[i][m] for j < m, and on the norm of H[i][m] for j = m.
 So each entry is solved for, not tried: the containment and linear
 congruences merge into one residue class, and the norm condition is met one
-p-adic digit at a time (see `_entry_solutions` and `_overlattice_search`).
-The solutions are exact: the enumeration yields the same set, in the same
-order, as lifting every submodule and testing its integrality.
+p-adic digit at a time, about p tests per digit (see `_entry_solutions` and
+`_overlattice_search`).  The solutions are exact: the enumeration yields the
+same set, in the same order, as lifting every submodule and testing its
+integrality.
 
-Each integral overlattice costs one rank over the residue field F_(q^2), read
-off arithmetic tables: its type is the number of positive invariants minus
-the rank of their block of the Gram mod p.  The search streams the
-overlattices; `overlattice_profiles` keeps only their (length, type) pairs,
-which is all the density sums need.  Only the records of
-`integral_overlattices` and `cyclic_overlattices` pay a second rank, for the
+An overlattice's type is the number of positive invariants minus the rank
+over the residue field F_(q^2) of their block of the Gram mod p.  Sibling
+overlattices share all of that block but its last column, so the leading
+block is eliminated once each time its last column is set, and each
+overlattice pays one bordered rank update (`_leading_block`,
+`_bordered_rank`).  The search streams the overlattices;
+`overlattice_profiles` keeps only their (length, type) pairs, which is all
+the density sums need.  Only the records of `integral_overlattices` and
+`cyclic_overlattices` pay a full rank, read off arithmetic tables, for the
 cyclicity of L'/L.
 """
 
@@ -44,8 +48,9 @@ from .lattice import (
 from .ring import reduce
 
 # budget of residues tested: the largest acceptance instance, diag(p^4, p^4, p)
-# at q = 5, tests 260,278 (digit tests included; 653,457 when every residue
-# was tried), so the default leaves ample room
+# at q = 5, tests 86,963 (digit tests included; 260,278 when each digit tried
+# all p^2 residues, 653,457 when every residue was tried), so the default
+# leaves ample room
 DEFAULT_BUDGET = 10**8
 
 # the a-priori estimate overcounts (it ignores congruence failures), so the
@@ -98,6 +103,18 @@ def _solve_linear(c, beta, T, p, eps):
     return ((bx * cx - eps * by * cy) * ninv % pf, (by * cx - bx * cy) * ninv % pf), T - v
 
 
+@functools.cache
+def _norm_roots(p, eps, t):
+    """The u in [0, p)^2 with N(u) = ux^2 - eps uy^2 = t mod p, in
+    lexicographic order: p + 1 of them for a unit t, and only 0 for t = 0,
+    since eps is not a square mod p."""
+    sqrt = [[] for _ in range(p)]
+    for y in range(p):
+        sqrt[y * y % p].append(y)
+    einv = pow(eps, -1, p)
+    return tuple((ux, uy) for ux in range(p) for uy in sqrt[(ux * ux - t) * einv % p])
+
+
 def _entry_solutions(k, x, e, conds, t, T, p, eps, counter):
     """The h in [0, p^k)^2 with h = x mod p^e, c h = beta mod p^T for each
     (c, beta) in `conds`, and N(h) = t mod p^T, in lexicographic order.
@@ -106,8 +123,13 @@ def _entry_solutions(k, x, e, conds, t, T, p, eps, counter):
     h = x mod p^E.  N(h) mod p^d reads only the p-adic digits of h below d, so
     h is then built one digit at a time from digit E, keeping the partial
     solutions whose norm is right mod p^(d+1), and the complete h mod p^T; the
-    digits from T on are free.  Each partial residue the walk tests adds one
-    to `counter[0]`; the complete ones it returns are counted by the caller."""
+    digits from T on are free.  No step tries all p^2 digits: digit 0 is read
+    off a table of the roots of N(u) = t mod p; past it the condition is
+    linear in the digit of a unit h, with p solutions, and reads no digit of
+    an h = 0 mod p, one test for all p^2.  The candidates for the last digit
+    of h are then checked mod p^T when that reaches past p^(d+1).  Each
+    candidate and each test adds one to `counter[0]`; the complete solutions
+    the walk returns are counted by the caller."""
     for c, beta in conds:
         sol = _solve_linear(c, beta, T, p, eps)
         if sol is None:
@@ -128,17 +150,43 @@ def _entry_solutions(k, x, e, conds, t, T, p, eps, counter):
             return []
     partial, d = [x], e
     while d < k and d < T:
-        pd = p**d
+        pd, p1 = p**d, p ** (d + 1)
         # the complete h (d + 1 = k) is checked mod p^T
-        pm = p ** (d + 1) if d + 1 < k else pT
+        pm = p1 if d + 1 < k else pT
         nxt = []
         for hx, hy in partial:
-            for ax in range(hx, hx + p * pd, pd):
-                na = ax * ax - t
-                for ay in range(hy, hy + p * pd, pd):
-                    if (na - eps * ay * ay) % pm == 0:
-                        nxt.append((ax, ay))
-        counter[0] += p * p * len(partial)
+            if d == 0:
+                # no digit is set yet (h = 0): the digit is a root of N(u) = t mod p
+                cands = _norm_roots(p, eps, t % p)
+                counter[0] += len(cands)
+            else:
+                # N(h + p^d u) = N(h) + p^d Tr(conj(h) u) mod p^(d+1), and
+                # N(h) = t mod p^d already: the digit u must meet
+                # Tr(conj(h) u) = 2 (hx ux - eps hy uy) = -delta mod p
+                delta = (hx * hx - eps * hy * hy - t) // pd % p
+                if hx % p:
+                    # a unit h: the condition is linear in u, one ux per uy
+                    f = pow(2 * hx, -1, p)
+                    u0, du = -delta * f, 2 * eps * hy * f
+                    cands = [(hx + pd * ((u0 + du * uy) % p), hy + pd * uy) for uy in range(p)]
+                    counter[0] += p
+                elif hy % p:
+                    # hx = 0 mod p: the condition fixes uy and leaves ux free
+                    ay = hy + pd * (delta * pow(2 * eps * hy, -1, p) % p)
+                    cands = [(hx + pd * ux, ay) for ux in range(p)]
+                    counter[0] += p
+                else:
+                    # h = 0 mod p: the condition reads no digit, so all p^2
+                    # digits pass or none
+                    counter[0] += 1
+                    if delta:
+                        continue
+                    cands = [(hx + pd * ux, hy + pd * uy) for ux in range(p) for uy in range(p)]
+            if pm > p1:
+                # the last digit of h is checked mod p^T, past the linear term
+                counter[0] += len(cands)
+                cands = [(cx, cy) for cx, cy in cands if (cx * cx - eps * cy * cy - t) % pm == 0]
+            nxt += cands
         partial, d = nxt, d + 1
     if d < k:
         pd, n = p**d, p ** (k - d)
@@ -419,6 +467,65 @@ def _pair_rank_plain(rows, p, eps):
     return rank
 
 
+def _leading_block(A, p, eps):
+    """Gauss-Jordan elimination of a square matrix A of integer pairs over
+    F_(q^2): (rho, pivots, E) with E invertible and E A reduced mod p in
+    reduced row echelon form, rho = rank A, its row k < rho with a 1 in
+    column pivots[k] and its rows from rho on zero."""
+    n = len(A)
+    M = [[(x % p, y % p) for x, y in row] + [(1, 0) if l == i else (0, 0) for l in range(n)] for i, row in enumerate(A)]
+    pivots = []
+    for c in range(n):
+        rank = len(pivots)
+        for piv in range(rank, n):
+            if M[piv][c] != (0, 0):
+                break
+        else:
+            continue
+        M[piv], M[rank] = M[rank], M[piv]
+        x, y = M[rank][c]
+        ninv = pow((x * x - eps * y * y) % p, -1, p)
+        pinv = (x * ninv % p, -y * ninv % p)
+        prow = M[rank] = [(u % p, v % p) for u, v in (_pmul(pinv, w, eps) for w in M[rank])]
+        for i in range(n):
+            if i != rank and M[i][c] != (0, 0):
+                f = M[i][c]
+                M[i] = [((u[0] - w[0]) % p, (u[1] - w[1]) % p) for u, w in zip(M[i], (_pmul(f, v, eps) for v in prow))]
+        pivots.append(c)
+    return len(pivots), pivots, [row[n:] for row in M]
+
+
+def _bordered_rank(lead, b, c, p, eps):
+    """Rank over F_(q^2) of the hermitian matrix [[A, b], [b^H, c]], given
+    `lead` = `_leading_block(A)` of its hermitian leading block A.
+
+    With A y = b solvable (y supported on the pivot columns), subtracting A y
+    from the last column and conj(y)^T times the rows of A from the last row
+    leaves [[A, 0], [0, c - conj(y).b]]: rank rho + [c != conj(y).b].
+    Otherwise a kernel vector v of A has conj(v).b != 0, and the rank is
+    rho + 2.  E b decides it: b lies in im A iff its rows from rho on vanish,
+    and then y[pivots[k]] = (E b)[k]."""
+    rho, pivots, E = lead
+    for row in E[rho:]:
+        sx = sy = 0
+        for (ex, ey), (bx, by) in zip(row, b):
+            sx += ex * bx + eps * ey * by
+            sy += ex * by + ey * bx
+        if sx % p or sy % p:
+            return rho + 2
+    dx, dy = c
+    for row, col in zip(E, pivots):
+        yx = yy = 0
+        for (ex, ey), (bx, by) in zip(row, b):
+            yx += ex * bx + eps * ey * by
+            yy += ex * by + ey * bx
+        bx, by = b[col]
+        # conj(y) b = (yx - yy t)(bx + by t)
+        dx -= yx * bx - eps * yy * by
+        dy -= yx * by - yy * bx
+    return rho + (dx % p != 0 or dy % p != 0)
+
+
 # ---------------------------------------------------------------------------
 # lifting submodules to lattices
 
@@ -489,6 +596,10 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     # acc[m][i][j]: the rows i..j of W[j][m]
     acc = [[[(0, 0)] * r for _ in range(r)] for _ in range(r)]
     gmodp = [[(0, 0)] * r for _ in range(r)]
+    # the leading block of the positive part, rows and columns z..r-2 of the
+    # Gram mod p, eliminated (`_leading_block`) each time its last column is
+    # set; empty when one invariant is positive
+    lead = [(0, [], [])]
     for l in range(z):
         gmodp[l][l] = (vdiag[l][0] // pam, -(vdiag[l][1] // pam) % p)
 
@@ -517,6 +628,10 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
                 wa, wb = row[j]
                 gmodp[j][m] = (wa // pam, wb // pam)
                 gmodp[m][j] = (wa // pam, -(wb // pam) % p)
+            if m == r - 2:
+                # the leading block of the type rank is complete; every
+                # overlattice below borders it with the last column
+                lead[0] = _leading_block([row[z : r - 1] for row in gmodp[z : r - 1]], p, eps)
         return True
 
     # Row i (i < m) of column m must make conj(H[i][j]) V_i H[i][m] + below[j]
@@ -547,9 +662,12 @@ def _overlattice_search(L: EmbeddedLattice, budget, val_target=None):
     def search():
         total = sum(a_sorted)
         for kvals, H, cvec in _submodules(tuple(a_sorted), p, eps, budget, counter, entry_ok, ksum_target, solve):
-            # type: the positive invariants, r - z, less the rank of their block of the Gram mod p
-            block = [row[z:] for row in gmodp[z:]] if z else gmodp
-            yield total - sum(kvals), r - z - _pair_rank_mod_p(block, p, eps), H, cvec, gmodp
+            # type: the positive invariants, r - z, less the rank of their
+            # block of the Gram mod p, the leading block bordered by column r-1
+            rank = 0
+            if r > z:
+                rank = _bordered_rank(lead[0], [row[r - 1] for row in gmodp[z : r - 1]], gmodp[r - 1][r - 1], p, eps)
+            yield total - sum(kvals), r - z - rank, H, cvec, gmodp
 
     return search(), build, dual_cols
 

@@ -8,6 +8,8 @@ from hermsiegel.errors import BudgetExceeded, NotContained
 from hermsiegel.lattice import flat_from_invariants, lattice_from_invariants, quotient_divisors, random_unimodular, rebased
 from hermsiegel.overlat import (
     DEFAULT_BUDGET,
+    _bordered_rank,
+    _leading_block,
     _overlattice_family,
     _overlattice_search,
     _pair_rank_mod_p,
@@ -90,6 +92,25 @@ def test_submodule_count_matches_closed_formula(F3):
             got = submodule_count((a, b), 3, F3.eps)
             want = _subgroup_count_cyclic_pair(Q, a, b)
             assert got == want, (a, b, got, want)
+
+
+@pytest.mark.parametrize("p, a, count", [(3, (2, 2, 2), 23299), (5, (1, 2, 2), 35106)])
+def test_submodules_contain_l(p, a, count):
+    # each column m of cvec expresses p^(a_m) e_m in the columns of H, so the
+    # submodule contains L: H cvec[m] = p^(a_m) e_m exactly, in integer pairs
+    eps = field(p).eps
+    r = len(a)
+    seen = 0
+    for _, H, cvec in _submodules(a, p, eps, DEFAULT_BUDGET, [0]):
+        for m in range(r):
+            for i in range(r):
+                x = y = 0
+                for (hx, hy), (cx, cy) in zip(H[i], cvec[m]):
+                    x += hx * cx + eps * hy * cy
+                    y += hx * cy + hy * cx
+                assert (x, y) == ((p ** a[m] if i == m else 0), 0), (H, cvec, m, i)
+        seen += 1
+    assert seen == count
 
 
 def _residue(x, p):
@@ -232,6 +253,53 @@ def test_entry_solutions_match_brute_force(p, rng):
                     assert got == _brute(p, k, x, e, conds, T, t), (k, x, e, conds, t, T)
                     cases += 1
     assert cases > 50
+    # every branch of the digit walk, without linear conditions: digit 0 from
+    # the root table, later digits of a unit h (linear, solved for ux or, when
+    # hx = 0 mod p, for uy) and of h = 0 mod p (one test), targets t = 0 mod p,
+    # and a last digit checked mod p^T past p^(d+1) (d + 1 = k < T)
+    seen = set()
+    for k in (1, 2, 3):
+        for T in range(1, 5):
+            for e in range(k + 1):
+                if p ** (2 * (k - e)) > 3000:
+                    continue
+                for h0 in (
+                    (rng.randrange(1, p), rng.randrange(p**k)),
+                    (p * rng.randrange(p ** (k - 1)), rng.randrange(1, p) + p * rng.randrange(p ** (k - 1))),
+                    (p * rng.randrange(p ** (k - 1)), p * rng.randrange(p ** (k - 1))),
+                ):
+                    x = (h0[0] % p**e, h0[1] % p**e)
+                    n0 = h0[0] ** 2 - eps * h0[1] ** 2
+                    for t in {n0 % p**T, (n0 + p ** (T - 1) * rng.randrange(1, p)) % p**T, p * rng.randrange(p**T) % p**T, 0}:
+                        got = overlat._entry_solutions(k, x, e, [], t, T, p, eps, [0])
+                        assert got == _brute(p, k, x, e, [], T, t), (k, x, e, t, T)
+                        if not got:
+                            continue
+                        # the walk's first step is at digit d = e, from h = x
+                        if e < min(k, T):
+                            kind = "digit 0" if e == 0 else "unit" if x[0] % p else "unit hy" if x[1] % p else "0 mod p"
+                            seen.add((kind, t % p == 0, e + 1 == k < T))
+    # (first step, t = 0 mod p, its digit the last, checked mod p^T); a unit h
+    # has a unit norm, and an h = 0 mod p at d >= 1 a norm 0 mod p
+    want = {("digit 0", zero, last) for zero in (False, True) for last in (False, True)}
+    want |= {(kind, False, last) for kind in ("unit", "unit hy") for last in (False, True)}
+    want |= {("0 mod p", True, last) for last in (False, True)}
+    assert seen == want, seen
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_norm_root_table(p):
+    # N(u) = t mod p has p + 1 roots for a unit t and only u = 0 for t = 0;
+    # the tables of all t hold each u in [0, p)^2 once, under its own norm
+    eps = field(p).eps
+    everything = []
+    for t in range(p):
+        roots = overlat._norm_roots(p, eps, t)
+        assert len(roots) == (p + 1 if t else 1)
+        assert list(roots) == sorted(roots)
+        assert all((ux * ux - eps * uy * uy - t) % p == 0 for ux, uy in roots)
+        everything += roots
+    assert sorted(everything) == [(ux, uy) for ux in range(p) for uy in range(p)]
 
 
 def _candidates(monkeypatch, fld, invs):
@@ -251,13 +319,14 @@ def _candidates(monkeypatch, fld, invs):
 
 def test_candidate_counts(F3, F5, monkeypatch):
     # residues tested, digit tests included: each entry is solved for from the
-    # congruences the Gram conditions put on it.  Trying every residue and
-    # rejecting it once the Gram block it completes is not integral tested
-    # 3,636, 16,526 and 5,280 on these classes, and without that check the
-    # search generated 11,132, 24,319 and 10,225
-    assert _candidates(monkeypatch, F3, (1, 1, 1, 1)) == 1760
-    assert _candidates(monkeypatch, F3, (2, 2, 2)) == 4945
-    assert _candidates(monkeypatch, F5, (1, 2, 2)) == 5465
+    # congruences the Gram conditions put on it, and no digit step tries all
+    # p^2 digits.  Trying all p^2 at each digit tested 1,760, 4,945 and 5,465
+    # on these classes; trying every residue and rejecting it once the Gram
+    # block it completes is not integral, 3,636, 16,526 and 5,280; and
+    # without that check the search generated 11,132, 24,319 and 10,225
+    assert _candidates(monkeypatch, F3, (1, 1, 1, 1)) == 1201
+    assert _candidates(monkeypatch, F3, (2, 2, 2)) == 2566
+    assert _candidates(monkeypatch, F5, (1, 2, 2)) == 1755
 
 
 def test_budget_counts_digit_tests(F3, monkeypatch):
@@ -272,25 +341,32 @@ def test_budget_counts_digit_tests(F3, monkeypatch):
 
 
 def test_profiles_rank_once_per_overlattice(F3, monkeypatch):
-    # the type costs one rank per integral overlattice; the density sums and
-    # the horizontal sum do not read the cyclicity, so neither the profiles
-    # nor the family records pay a second rank for it (the family paid 785)
-    calls = []
-    rank = overlat._pair_rank_mod_p
+    # the type costs one bordered rank update per integral overlattice, and
+    # one full elimination each time the leading block of the Gram mod p
+    # (all its columns but the last) is complete; the density sums and the
+    # horizontal sum do not read the cyclicity, so neither the profiles nor
+    # the family records pay a rank for it (the family paid 785).  A full
+    # elimination per overlattice made 393 here
+    calls = {"full": 0, "lead": 0, "border": 0}
 
-    def counted(rows, p, eps):
-        calls.append(len(rows))
-        return rank(rows, p, eps)
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(overlat, "_pair_rank_mod_p", counted)
+        return wrapped
+
+    monkeypatch.setattr(overlat, "_pair_rank_mod_p", counted("full", overlat._pair_rank_mod_p))
+    monkeypatch.setattr(overlat, "_leading_block", counted("lead", overlat._leading_block))
+    monkeypatch.setattr(overlat, "_bordered_rank", counted("border", overlat._bordered_rank))
     L = lattice_from_invariants(F3, (1, 1, 1, 1))
     profiles = overlattice_profiles(L)
     assert len(profiles) == 393
-    assert len(calls) == 393
-    calls.clear()
+    assert calls == {"full": 0, "lead": 29, "border": 393}
+    calls.update(full=0, lead=0, border=0)
     fam, _, _ = _overlattice_family(L, DEFAULT_BUDGET)
     assert len(fam) == 393
-    assert len(calls) == 393
+    assert calls == {"full": 0, "lead": 29, "border": 393}
 
 
 def _kernel_size(M, p, eps):
@@ -364,6 +440,87 @@ def test_pair_rank_tables_match_plain_elimination(p, rng):
                 [[(p * x, p * y) for x, y in row] for row in _random_pair_matrix(n, n, p, rng)],
             ):
                 assert _pair_rank_mod_p(M, p, eps) == overlat._pair_rank_plain(M, p, eps), M
+
+
+def _conj(u):
+    return u[0], -u[1]
+
+
+def _bordered(M, p, eps):
+    """The rank of M through `_leading_block` of all but its last row and
+    column, bordered by them."""
+    n = len(M) - 1
+    lead = _leading_block([row[:n] for row in M[:n]], p, eps)
+    assert lead[0] == _pair_rank_mod_p([row[:n] for row in M[:n]], p, eps)
+    return _bordered_rank(lead, [row[n] for row in M[:n]], M[n][n], p, eps)
+
+
+def test_bordered_rank_on_every_hermitian_3x3_over_f9(F3):
+    # every hermitian 3 x 3 matrix over F_9: 3^3 diagonals in F_3 times 9^3
+    # upper triangles
+    p, eps = 3, F3.eps
+    elems = [(x, y) for x in range(p) for y in range(p)]
+    count = 0
+    for d0, d1, a01 in itertools.product(range(p), range(p), elems):
+        A = [[(d0, 0), a01], [_conj(a01), (d1, 0)]]
+        lead = _leading_block(A, p, eps)
+        assert lead[0] == _pair_rank_mod_p(A, p, eps)
+        for a02, a12, d2 in itertools.product(elems, elems, range(p)):
+            M = [A[0] + [a02], A[1] + [a12], [_conj(a02), _conj(a12), (d2, 0)]]
+            assert _bordered_rank(lead, [a02, a12], (d2, 0), p, eps) == _pair_rank_mod_p(M, p, eps), M
+            count += 1
+    assert count == 19683
+
+
+def _low_rank_hermitian(n, k, p, eps, rng):
+    """X^H D X for a random k x n matrix X over F_(q^2) and a diagonal D over
+    F_q, so hermitian of rank at most k."""
+    X = [[(rng.randrange(p), rng.randrange(p)) for _ in range(n)] for _ in range(k)]
+    D = [rng.randrange(p) for _ in range(k)]
+    M = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            x = y = 0
+            for row, dl in zip(X, D):
+                u, v = overlat._pmul(_conj(row[i]), row[j], eps)
+                x, y = x + dl * u, y + dl * v
+            M[i][j] = (x % p, y % p)
+    return M
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bordered_rank_matches_full_elimination(p, rng):
+    # random hermitian matrices up to 5 x 5, of every rank, and borders b
+    # inside and outside the image of the leading block
+    eps = field(p).eps
+    grew = set()
+    for n in range(1, 6):
+        for _ in range(40):
+            M = _low_rank_hermitian(n, rng.randrange(n + 1), p, eps, rng)
+            if rng.randrange(3) == 0:
+                # a border outside im A when A is singular, and a free corner
+                b = [(rng.randrange(p), rng.randrange(p)) for _ in range(n - 1)]
+                for i in range(n - 1):
+                    M[i][n - 1], M[n - 1][i] = b[i], _conj(b[i])
+                M[n - 1][n - 1] = (rng.randrange(p), 0)
+            full = _pair_rank_mod_p(M, p, eps)
+            assert _bordered(M, p, eps) == full, M
+            grew.add(full - _pair_rank_mod_p([row[: n - 1] for row in M[: n - 1]], p, eps))
+    assert grew == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p, invs, count", [(3, (1, 1, 1, 1), 393), (3, (2, 2, 2), 1024), (3, (0, 1, 1, 1), 29), (5, (1, 2, 2), 778)])
+def test_bordered_type_matches_full_elimination(p, invs, count, rng):
+    # the search's type, from the bordered rank, against a full elimination of
+    # each overlattice's Gram mod p (whose unimodular diagonal has full rank)
+    fld = field(p)
+    L = rebased(lattice_from_invariants(fld, invs), random_unimodular(fld, len(invs), rng))
+    search, _, _ = _overlattice_search(L, DEFAULT_BUDGET)
+    seen = 0
+    for _, type_t, _, _, g in search:
+        assert type_t == len(invs) - _pair_rank_mod_p(g, p, fld.eps), g
+        seen += 1
+    assert seen == count
 
 
 def _pair_det(M, p, eps):
