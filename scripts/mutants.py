@@ -1,4 +1,5 @@
-"""Re-runnable mutants for the overlattice search.
+"""Re-runnable mutants for the overlattice search, the closed vertical-cycle
+function and the integer echelon form and invariants.
 
 Each mutant names a source file, an exact text in it, the text that replaces
 it and the tests that must fail once it is replaced.  The script copies the
@@ -46,6 +47,14 @@ CONTAINS = "tests/test_overlat.py::test_submodules_contain_l"
 BORDER = "tests/test_overlat.py::test_bordered_rank_on_every_hermitian_3x3_over_f9"
 BORDER_RANDOM = "tests/test_overlat.py::test_bordered_rank_matches_full_elimination"
 TYPE = "tests/test_overlat.py::test_bordered_type_matches_full_elimination"
+SCHWARTZ = "src/hermsiegel/schwartz.py"
+LATTICE = "src/hermsiegel/lattice.py"
+CLOSED = "tests/test_schwartz.py::test_int_v_lambda_at_matches_evaluate"
+VSUM = "tests/test_kr.py::test_vertical_sum_matches_reference"
+ECHELON = "tests/test_lattice.py::test_integer_echelon_matches_exact"
+DEFICIENT = "tests/test_lattice.py::test_rank_deficient_columns_take_the_exact_path"
+REBASING = "tests/test_lattice.py::test_rebasing_keeps_key_and_invariants"
+SMITH = "tests/test_lattice.py::test_smith_exponents_match_minors"
 
 MUTANTS = (
     Mutant(
@@ -175,6 +184,43 @@ MUTANTS = (
         "            if pm > p1:\n",
         "            if pm > p1 and (hx % p or hy % p):\n",
         (SOLVER,),
+    ),
+    Mutant(
+        "1 - q in place of 1 - q^2 on the vertex lattice",
+        SCHWARTZ,
+        "return Fraction(1 - q * q)",
+        "return Fraction(1 - q)",
+        (CLOSED, VSUM),
+    ),
+    Mutant(
+        "value 1 without the integrality of (x, x)",
+        SCHWARTZ,
+        "return Fraction(1) if Lambda.space.norm(x).valuation() >= 0 else Fraction(0)",
+        "return Fraction(1)",
+        (CLOSED,),
+    ),
+    Mutant(
+        "echelon pivot accepted at the precision left",
+        LATTICE,
+        "        best, bestv = None, prec\n",
+        "        best, bestv = None, prec + 1\n",
+        (ECHELON,),
+    ),
+    Mutant(
+        "echelon form accepted with fewer than n pivots",
+        LATTICE,
+        "        if best is None:\n            return None\n",
+        "        if best is None:\n            continue\n",
+        (DEFICIENT,),
+    ),
+    Mutant(
+        "conjugate dropped from the unit inverse of the invariants",
+        LATTICE,
+        "fa, fb = (a * ua - eps * b * ub) * ninv % P, (b * ua - a * ub) * ninv % P",
+        "fa, fb = (a * ua + eps * b * ub) * ninv % P, (b * ua + a * ub) * ninv % P",
+        # a Gram matrix mostly pivots on its diagonal, whose entries are in
+        # F0, where the conjugate changes nothing
+        (SMITH, REBASING),
     ),
 )
 

@@ -421,6 +421,32 @@ def suite_oracle_tiny(cfg, rng):
     return True
 
 
+def suite_vertical(cfg, rng, count=3):
+    # rank-2 flats in the nonsplit space of dimension 3, invariant sum <= 4
+    fld = field(cfg.p, cfg.eps)
+    for _ in range(count):
+        a = rng.randint(0, 2)
+        Lf, _ = flat_from_invariants(fld, (a, rng.randint(a, 4 - a)), "nonsplit")
+        if not kr.vertical_identity_n3(Lf, budget=cfg.enum_budget):
+            return False
+    return True
+
+
+def suite_closed_forms(cfg, rng):
+    # Gross's rank-1 and Kudla-Rapoport's rank-2 values against the derived
+    # density, on every class with a <= 3 and b <= 6
+    fld = field(cfg.p, cfg.eps)
+    for a in range(1, 7, 2):
+        if kr.int_selfdual(lattice_from_invariants(fld, (a,)), cfg.enum_budget).value != kr.int_rank1_closed(a):
+            return False
+    for a in range(4):
+        for b in range(a + 1, 7, 2):
+            L = lattice_from_invariants(fld, (a, b))
+            if kr.int_selfdual(L, cfg.enum_budget).value != kr.int_rank2_closed(a, b, fld.q):
+                return False
+    return True
+
+
 SUITES = {
     "functional-eq": suite_functional_eq,
     "special-values": suite_special_values,
@@ -432,6 +458,8 @@ SUITES = {
     "horizontal-degree": suite_horizontal_degree,
     "eisenstein": suite_eisenstein,
     "oracle-tiny": suite_oracle_tiny,
+    "vertical": suite_vertical,
+    "closed-forms": suite_closed_forms,
 }
 
 

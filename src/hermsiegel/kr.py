@@ -25,7 +25,7 @@ from .errors import (
 )
 from .lattice import EmbeddedLattice, intersect_with_hyperplane, lattice_from_invariants
 from .overlat import DEFAULT_BUDGET, count_intermediate, overlattice_profiles, vertex_overlattices
-from .schwartz import evaluate, int_v_lambda
+from .schwartz import evaluate, int_v_lambda, int_v_lambda_at
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,16 @@ def mult_vertical(Lflat: EmbeddedLattice, Lam: EmbeddedLattice, budget: int = DE
     return count_intermediate(Lflat, hyper, budget)
 
 
+def vertical_terms(Lflat: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
+    """The type-3 vertex overlattices of a rank-2 flat in a nonsplit space
+    of dimension 3, each with its multiplicity: [(m(Lambda), Lambda)]."""
+    if Lflat.rank != 2 or Lflat.dim != 3:
+        raise PreconditionViolated("the identity is checked for rank-2 flats in dimension 3")
+    if Lflat.space.split_flag:
+        raise PreconditionViolated("ambient space must be nonsplit")
+    return [(mult_vertical(Lflat, lam, budget), lam) for lam in vertex_overlattices(Lflat, 3, budget)]
+
+
 def vertical_identity_n3(
     Lflat: EmbeddedLattice,
     grid=None,
@@ -105,20 +115,20 @@ def vertical_identity_n3(
 ) -> bool:
     """Pointwise identity in dimension 3: the vertical part of the derived
     density equals the multiplicity-weighted sum of vertical-cycle functions
-    over all type-3 vertex overlattices."""
-    if Lflat.rank != 2 or Lflat.dim != 3:
-        raise PreconditionViolated("the identity is checked for rank-2 flats in dimension 3")
-    if Lflat.space.split_flag:
-        raise PreconditionViolated("ambient space must be nonsplit")
-    lams = vertex_overlattices(Lflat, 3, budget)
-    pieces = [(mult_vertical(Lflat, lam, budget), int_v_lambda(lam, budget)) for lam in lams]
-    # every lattice on the right-hand side is integral and contains the flat,
-    # so each indicator vanishes outside the support set term by term; the
-    # identity therefore only needs checking on the support
-    for _, f in pieces:
-        for _, lat in f.terms:
-            if not (lat.is_integral() and lat.contains_lattice(Lflat)):
-                raise HermSiegelError("vertical-cycle term fails the support containment")
+    over all type-3 vertex overlattices, each read in closed form
+    (`int_v_lambda_at`).
+
+    Each indicator on the right-hand side is of an integral lattice that
+    contains the flat, so it vanishes outside the support set, and the
+    identity only needs checking there.  The lattices are the vertex
+    lattices Lambda, checked below, and their type-1 overlattices, which
+    contain Lambda and are integral: each is Lambda + <x> with x in Lambda^v
+    and (x, x) integral, and (a x + l, b x + l') = a conj(b) (x, x) +
+    a (x, l') + conj(b) (l, x) + (l, l') is integral for l, l' in Lambda."""
+    terms = vertical_terms(Lflat, budget)
+    for _, lam in terms:
+        if not (lam.is_integral() and lam.contains_lattice(Lflat)):
+            raise HermSiegelError("vertical-cycle term fails the support containment")
     if grid is None:
         w = perp_generator(Lflat)
         v0 = int(Lflat.space.vector_val(w))
@@ -132,11 +142,24 @@ def vertical_identity_n3(
         fp = FlatPair(Lflat, x)
         if not in_support_N(fp):
             continue
-        lhs = pden_vertical(fp, budget)
-        rhs = sum((m * evaluate(f, x) for m, f in pieces), start=Fraction(0))
-        if lhs != rhs:
+        if pden_vertical(fp, budget) != vertical_sum(terms, x):
             return False
     return True
+
+
+def vertical_sum(terms, x) -> Fraction:
+    """The right-hand side of `vertical_identity_n3` at x: sum of
+    m(Lambda) Int_Lambda(x) over the terms of `vertical_terms`, each
+    vertical-cycle function read in closed form."""
+    return sum((m * int_v_lambda_at(lam, x) for m, lam in terms), start=Fraction(0))
+
+
+def vertical_sum_reference(terms, points, budget: int = DEFAULT_BUDGET):
+    """`vertical_sum` at each point from the full vertical-cycle functions:
+    every type-1 overlattice built and every term evaluated.  The reference
+    for the closed form; no library code calls it."""
+    pieces = [(m, int_v_lambda(lam, budget)) for m, lam in terms]
+    return [sum((m * evaluate(f, x) for m, f in pieces), start=Fraction(0)) for x in points]
 
 
 def horizontal_degree(Lflat: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> Fraction:

@@ -24,7 +24,7 @@ from .errors import (
     NotContained,
     UsageError,
 )
-from .ring import INF, FElem, Field, field, norm_solve, reduce as reduce_mod, val_p
+from .ring import INF, FElem, Field, _canonical, field, norm_solve, reduce as reduce_mod, val_p
 
 Matrix = tuple  # tuple of row tuples of FElem
 
@@ -275,6 +275,11 @@ class Invariants:
 # canonical Hermite echelon form over O_F
 
 
+# the largest precision K of the computations in O_F/p^K; past it the exact
+# code decides
+_K_CAP = 64
+
+
 def _canonical_residue(x: FElem, k: int) -> FElem:
     """Canonical representative of x mod p^k with integer coordinates in [0, p^k)."""
     if k <= 0:
@@ -289,10 +294,201 @@ def hnf_columns(fld: Field, cols, n: int):
     Returns (pivot_rows, columns): pivot entry at row i_j of column j is an
     exact power of p, entries above each pivot vanish, entries of earlier
     columns in a pivot row are canonically reduced modulo the pivot.
+
+    A module of full rank n is first put in echelon form in integer pairs
+    mod p^K (`_hnf_mod`), which certifies its answer; the exact elimination
+    (`_hnf_exact`) runs when it cannot, and for every module of lower rank.
     """
     cols = [list(c) for c in cols if any(not x.is_zero() for x in c)]
     if not cols:
         return [], []
+    if len(cols) >= n:
+        shift, ints = _cleared(fld.p, cols)
+        out = _with_precision(lambda K: _hnf_mod(fld.p, fld.eps, _residues(fld.p, ints, K), n, K), fld.p, ints)
+        if out is not None:
+            d = fld.p**shift
+            return list(range(n)), [[_canonical(fld, a, b, d) for a, b in c] for c in out]
+    return _hnf_exact(fld, cols, n)
+
+
+def _cleared(p: int, vectors):
+    """(s, rows) with s >= 0 least such that p^s clears every denominator's
+    power of p, and each entry x of p^s * vectors as an exact integer triple
+    (n, m, d), x = (n + m t)/d, with d prime to p."""
+    shift = 0
+    split = []
+    for vec in vectors:
+        row = []
+        for x in vec:
+            d, e = x.d, 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            shift = max(shift, e)
+            row.append((x.n, x.m, d, e))
+        split.append(row)
+    return shift, [[(n * p ** (shift - e), m * p ** (shift - e), d) for n, m, d, e in row] for row in split]
+
+
+def _residues(p: int, rows, K: int):
+    """The triples of `_cleared` as pairs of residues mod p^K."""
+    P = p**K
+    out = []
+    for row in rows:
+        res = []
+        for n, m, d in row:
+            if d != 1:
+                dinv = pow(d, -1, P)
+                n, m = n * dinv, m * dinv
+            res.append((n % P, m % P))
+        out.append(res)
+    return out
+
+
+def _pair_val(p: int, a: int, b: int, cap: int) -> int:
+    """min(v_p(a), v_p(b), cap) for integers a, b not both 0."""
+    v = 0
+    while v < cap and a % p == 0 and b % p == 0:
+        a //= p
+        b //= p
+        v += 1
+    return v
+
+
+def _with_precision(attempt, p: int, rows):
+    """attempt(K) at a K read off the entries (rows of `_cleared` triples),
+    then, if it returns None, at twice it, both at most _K_CAP: the answer,
+    or None.  A module or matrix of lower rank therefore costs at most two
+    attempts before the exact code runs."""
+    top = max(_pair_val(p, n, m, _K_CAP) for row in rows for n, m, _ in row if n or m)
+    K = min(_K_CAP, len(rows[0]) * (top + 1) + 1)
+    out = attempt(K)
+    if out is None and K < _K_CAP:
+        out = attempt(min(2 * K, _K_CAP))
+    return out
+
+
+def _hnf_mod(p: int, eps: int, cols, n: int, K: int):
+    """`_hnf_exact`'s elimination on columns of integer pairs (x, y) = x + y t
+    mod p^K: row by row, the least valuation pivots (first column on ties),
+    the pivot scaled to p^v, rows below eliminated, earlier columns reduced
+    to canonical residues.  Returns the n columns, or None when a row has
+    no certified pivot.
+
+    Dividing by a pivot p^v costs v digits: after pivots v_0..v_i the entries
+    below are right mod p^(K - v_0 - ... - v_i).  A pivot is accepted only
+    when its valuation is below the digits still right, so that its choice,
+    and every residue reduced modulo it, are those of the exact elimination.
+    n accepted pivots leave a lower-triangular basis in which each entry is
+    a pivot, a zero or such a residue: the exact echelon form."""
+    P = p**K
+    active = [list(c) for c in cols]
+    fixed = []
+    prec = K
+    for i in range(n):
+        best, bestv = None, prec
+        for idx, c in enumerate(active):
+            a, b = c[i]
+            if a or b:
+                v = _pair_val(p, a, b, bestv)
+                if v < bestv:
+                    best, bestv = idx, v
+        if best is None:
+            return None
+        prec -= bestv
+        pv = p**bestv
+        piv = active.pop(best)
+        ua, ub = piv[i][0] // pv, piv[i][1] // pv
+        ninv = pow((ua * ua - eps * ub * ub) % P, -1, P)
+        ia, ib = ua * ninv % P, -ub * ninv % P
+        for r in range(i + 1, n):
+            x, y = piv[r]
+            piv[r] = ((x * ia + eps * y * ib) % P, (x * ib + y * ia) % P)
+        piv[i] = (pv, 0)
+        for c in active:
+            fa, fb = c[i]
+            if fa or fb:
+                fa, fb = fa // pv, fb // pv
+                for r in range(i + 1, n):
+                    x, y = piv[r]
+                    a, b = c[r]
+                    c[r] = ((a - fa * x - eps * fb * y) % P, (b - fa * y - fb * x) % P)
+                c[i] = (0, 0)
+        for c in fixed:
+            a, b = c[i]
+            za, zb = a // pv, b // pv
+            if za or zb:
+                for r in range(i + 1, n):
+                    x, y = piv[r]
+                    ca, cb = c[r]
+                    c[r] = ((ca - za * x - eps * zb * y) % P, (cb - za * y - zb * x) % P)
+                c[i] = (a % pv, b % pv)
+        fixed.append(piv)
+    return fixed
+
+
+def _smith_mod(p: int, eps: int, M, K: int):
+    """Elementary-divisor exponents, non-decreasing, of the square matrix M
+    of integer pairs mod p^K, or None when a block left is zero mod p^K.
+
+    The entry of least valuation divides every other, so clearing its row
+    and column by invertible operations over O_F/p^K leaves the exponent of
+    its valuation and the Smith form of the block left.  Over O_F/p^K the
+    exponents are min(e, K) for the exponents e over O_F, so exponents below
+    K are exact."""
+    P = p**K
+    M = [list(row) for row in M]
+    exps = []
+    while M:
+        bi, bj, bv = None, None, K
+        for i, row in enumerate(M):
+            for j, (a, b) in enumerate(row):
+                if a or b:
+                    v = _pair_val(p, a, b, bv)
+                    if v < bv:
+                        bi, bj, bv = i, j, v
+        if bi is None:
+            return None
+        pv = p**bv
+        prow = M.pop(bi)
+        ua, ub = prow[bj][0] // pv, prow[bj][1] // pv
+        ninv = pow((ua * ua - eps * ub * ub) % P, -1, P)
+        rest = prow[:bj] + prow[bj + 1 :]
+        for row in M:
+            a, b = row.pop(bj)
+            if a or b:
+                # f = row[bj] / prow[bj] = (a + b t)/p^v * conj(u) / N(u)
+                a, b = a // pv, b // pv
+                fa, fb = (a * ua - eps * b * ub) * ninv % P, (b * ua - a * ub) * ninv % P
+                for j, (x, y) in enumerate(rest):
+                    ra, rb = row[j]
+                    row[j] = ((ra - fa * x - eps * fb * y) % P, (rb - fa * y - fb * x) % P)
+        exps.append(bv)
+    return exps
+
+
+def _gram_exponents(fld: Field, G: Matrix):
+    """The invariants of a lattice with Gram matrix G, as the elementary
+    divisor exponents of G computed mod p^K; None when the precision runs out
+    (always for a singular G).
+
+    Over the unramified F/F0 with p odd every lattice has an orthogonal
+    basis: G = U D conj(U)^T with U in GL_r(O_F) and D diagonal, so the
+    elementary divisors of G are those of D, the valuations of its entries.
+    A diagonal G is such a D already."""
+    r = len(G)
+    if all(G[i][j].is_zero() for i in range(r) for j in range(r) if i != j):
+        vals = sorted(G[i][i].valuation() for i in range(r))
+        return None if vals[-1] == INF else [int(v) for v in vals]
+    shift, ints = _cleared(fld.p, G)
+    exps = _with_precision(lambda K: _smith_mod(fld.p, fld.eps, _residues(fld.p, ints, K), K), fld.p, ints)
+    return None if exps is None else [e - shift for e in exps]
+
+
+def _hnf_exact(fld: Field, cols, n: int):
+    """The echelon form of `hnf_columns` in exact field arithmetic, for
+    non-zero columns: the path of modules of lower rank, and the reference of
+    `_hnf_mod`."""
     shift = 0
     mv = min(min(x.valuation() for x in c) for c in cols)
     if mv < 0:
@@ -413,9 +609,17 @@ class EmbeddedLattice:
         return [self.column(j) for j in range(self.rank)]
 
     def invariants(self) -> Invariants:
+        """The elementary divisor exponents of the Gram matrix (or those of
+        an orthogonal basis already computed); `_orthogonalize` decides when
+        the precision runs out, and raises DegenerateLattice for a singular
+        Gram matrix."""
         inv = self._cache.get("inv")
         if inv is None:
-            inv = Invariants(tuple(self._orthogonalize()[1]))
+            ortho = self._cache.get("ortho")
+            seq = ortho[1] if ortho is not None else _gram_exponents(self.field, self.gram)
+            if seq is None:
+                seq = self._orthogonalize()[1]
+            inv = Invariants(tuple(seq))
             self._cache["inv"] = inv
         return inv
 
@@ -785,7 +989,7 @@ def lattice_in_standard_space(fld: Field, invs, kind: str | None = None) -> Embe
             entries[i] = {s: ci, t: ci * z}
             entries[j] = {s: -(cj * z.conjugate()), t: cj}
     L = EmbeddedLattice(space, mat([[col.get(r, fld.zero) for col in entries] for r in range(n)]), _check=False)
-    # _orthogonalize shares no code with the construction above
+    # the invariants share no code with the construction above
     assert tuple(L.invariants()) == invs
     return L
 

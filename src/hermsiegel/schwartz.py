@@ -284,18 +284,46 @@ def type1_overlattices(Lambda: EmbeddedLattice, budget: int = DEFAULT_BUDGET):
     return [rec.lattice for rec in recs if rec.type_t == 1 and val - 2 * rec.length == 1]
 
 
+def _require_vertex3(Lambda: EmbeddedLattice):
+    if not Lambda.is_vertex(3) or Lambda.rank != Lambda.dim:
+        raise NotVertexType3("expected a full-rank vertex lattice of type 3")
+    # val(Lambda) = 3 is odd, so the space of a full-rank Lambda is nonsplit
+    if Lambda.dim < 3 or Lambda.dim % 2 == 0:
+        raise NotVertexType3("ambient space must be nonsplit of odd dimension >= 3")
+
+
 def int_v_lambda(Lambda: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> LatticeFunction:
     """The vertical-cycle intersection function of a type-3 vertex lattice:
     -q^2 (1 + q) 1_Lambda + sum of 1_Lambda' over type-1 overlattices."""
-    if not Lambda.is_vertex(3) or Lambda.rank != Lambda.dim:
-        raise NotVertexType3("expected a full-rank vertex lattice of type 3")
-    if Lambda.space.split_flag or Lambda.dim < 3 or Lambda.dim % 2 == 0:
-        raise NotVertexType3("ambient space must be nonsplit of odd dimension >= 3")
+    _require_vertex3(Lambda)
     q = Lambda.field.q
     terms = [(Fraction(-q * q * (1 + q)), Lambda)]
     for lam1 in type1_overlattices(Lambda, budget):
         terms.append((Fraction(1), lam1))
     return LatticeFunction.make(terms)
+
+
+def int_v_lambda_at(Lambda: EmbeddedLattice, x) -> Fraction:
+    """evaluate(int_v_lambda(Lambda), x) in closed form, building no
+    overlattice: 1 - q^2 on Lambda, 1 on the x of Lambda^v outside Lambda
+    with (x, x) integral, 0 elsewhere.
+
+    Lambda^v/Lambda is a non-degenerate hermitian space of dimension 3 over
+    F_(q^2), with the form p (x, y) mod p.  A type-1 overlattice of Lambda is
+    Lambda plus a lift of one of its q^3 + 1 isotropic lines, and it lies in
+    Lambda^v.  So x outside Lambda^v lies in none of them; x in Lambda lies in
+    all of them, -q^2 (1 + q) + q^3 + 1 = 1 - q^2; any other x of Lambda^v
+    lies in one when its image is isotropic, that is when (x, x) is
+    integral, and in none otherwise."""
+    _require_vertex3(Lambda)
+    if len(x) != Lambda.dim:
+        raise AmbientMismatch("vector dimension does not match the ambient space")
+    if not Lambda.dual().contains(x):
+        return Fraction(0)
+    if Lambda.contains(x):
+        q = Lambda.field.q
+        return Fraction(1 - q * q)
+    return Fraction(1) if Lambda.space.norm(x).valuation() >= 0 else Fraction(0)
 
 
 def local_modularity_check(Lambda: EmbeddedLattice, budget: int = DEFAULT_BUDGET) -> bool:

@@ -179,11 +179,11 @@ def test_ac06_local_modularity():
 
 
 def test_ac07_vertical_identity_n3():
-    fld = field(3)
     ok = True
-    for invs in [(1, 1), (1, 3), (2, 2), (3, 3), (1, 5)]:
-        Lf, _ = flat_from_invariants(fld, invs, "nonsplit")
-        ok = ok and vertical_identity_n3(Lf)
+    for p, flats in [(3, [(1, 1), (1, 3), (2, 2), (3, 3), (1, 5)]), (5, [(1, 2), (2, 2)])]:
+        for invs in flats:
+            Lf, _ = flat_from_invariants(field(p), invs, "nonsplit")
+            ok = ok and vertical_identity_n3(Lf)
     _line("AC-7 dimension-3 vertical identity on the coset grids", ok)
     assert ok
 

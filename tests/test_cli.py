@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -185,6 +186,30 @@ def test_oracle_unsupported_shape_exit_code(capsys, m_invs, l_invs):
 def test_verify_suite(capsys):
     rc, out = run(capsys, "verify", "--suite", "eisenstein", "--p", "3", "--seed", "42")
     assert rc == 0 and "eisenstein: ok" in out
+
+
+def test_verify_vertical_suite(capsys, monkeypatch):
+    from hermsiegel import kr
+
+    rc, out = run(capsys, "verify", "--suite", "vertical", "--p", "3", "--seed", "0")
+    assert rc == 0 and out == "vertical: ok"
+    # the suite sees a wrong value on the vertex lattice
+    closed = kr.int_v_lambda_at
+    monkeypatch.setattr(kr, "int_v_lambda_at", lambda lam, x: closed(lam, x) + (1 if lam.contains(x) else 0))
+    rc, out = run(capsys, "verify", "--suite", "vertical", "--p", "3", "--seed", "0")
+    assert rc == 1 and out == "vertical: FAIL"
+
+
+def test_verify_closed_forms_suite(capsys, monkeypatch):
+    from hermsiegel import kr
+
+    for p in ("3", "5"):
+        rc, out = run(capsys, "verify", "--suite", "closed-forms", "--p", p)
+        assert rc == 0 and out == "closed-forms: ok"
+    # q^(l+1) in place of q^l in the rank-2 closed form
+    monkeypatch.setattr(kr, "int_rank2_closed", lambda a, b, q: Fraction(sum(q ** (l + 1) * (a + b + 1 - 2 * l) for l in range(a + 1)), 2))
+    rc, out = run(capsys, "verify", "--suite", "closed-forms", "--p", "3")
+    assert rc == 1 and out == "closed-forms: FAIL"
 
 
 def test_verify_functional_eq_seeded(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermsiegel.decomp import flat_coset_grid, perp_generator
 from hermsiegel.density import derived_den, derived_den_lambda
 from hermsiegel.errors import NotInVert3, WrongAmbientParity, WrongParity
 from hermsiegel.kr import (
@@ -14,6 +15,9 @@ from hermsiegel.kr import (
     int_selfdual,
     mult_vertical,
     vertical_identity_n3,
+    vertical_sum,
+    vertical_sum_reference,
+    vertical_terms,
 )
 from hermsiegel.lattice import (
     flat_from_invariants,
@@ -106,6 +110,16 @@ def test_vertical_identity_small(F3):
     for invs in [(1, 1), (2, 2)]:
         Lf, _ = flat_from_invariants(F3, invs, "nonsplit")
         assert vertical_identity_n3(Lf)
+
+
+@pytest.mark.parametrize("invs", [(1, 1), (2, 2)])
+def test_vertical_sum_matches_reference(F3, invs):
+    # the closed right-hand side of the identity against the full
+    # vertical-cycle functions, inside and outside the support set
+    Lf, _ = flat_from_invariants(F3, invs, "nonsplit")
+    grid = flat_coset_grid(Lf, perp_generator(Lf), range(-1, 3))
+    terms = vertical_terms(Lf)
+    assert [vertical_sum(terms, x) for x in grid] == vertical_sum_reference(terms, grid)
 
 
 def test_vertical_identity_values_at_lattice_points(F3):

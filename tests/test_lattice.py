@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_lattice
 from hermsiegel.errors import DegenerateLattice, UsageError
 from hermsiegel.ring import field
+from hermsiegel import lattice
 from hermsiegel.lattice import (
     EmbeddedLattice,
     HermSpace,
@@ -96,6 +99,134 @@ def test_hnf_idempotent_and_module_invariant(F3, rng):
         assert rebased(L, U).hnf().key() == H.key()
     L = random_lattice(F3, rng, max_rank=2, max_val=3)
     assert sum_lattices(L, L) == L.hnf()
+
+
+def _random_columns(rng, fld, n, m, rank):
+    """m columns in F^n spanning a space of dimension `rank`, with entries of
+    denominators 2, 7, p, p^2 and 3p."""
+    p = fld.p
+
+    def entry():
+        if rng.random() < 0.25:
+            return fld.zero
+        d = rng.choice([1, 2, 7, p, p * p, 3 * p])
+        a, b = (rng.randint(-(p**3), p**3) * p ** rng.randint(0, 3) for _ in range(2))
+        return fld.elem(Fraction(a, d), Fraction(b, d))
+
+    cols = [[entry() for _ in range(n)] for _ in range(rank)]
+    for _ in range(m - rank):
+        # a combination of the first `rank` columns
+        coeffs = [entry() for _ in range(rank)]
+        cols.append([sum((a * c[i] for a, c in zip(coeffs, cols[:rank])), start=fld.zero) for i in range(n)])
+    return [c for c in cols if any(not x.is_zero() for x in c)]
+
+
+def _echelon_mod_at(fld, cols, n, K):
+    shift, ints = lattice._cleared(fld.p, cols)
+    out = lattice._hnf_mod(fld.p, fld.eps, lattice._residues(fld.p, ints, K), n, K)
+    return None if out is None else [[lattice._canonical(fld, a, b, fld.p**shift) for a, b in c] for c in out]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_echelon_matches_exact(p):
+    # every answer the integer elimination certifies, at every precision
+    # from 1 up, is the exact echelon form; the precision hnf_columns picks
+    # certifies every one of these full-rank sets
+    fld = field(p)
+    rng = random.Random(p)
+    accepted = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        cols = _random_columns(rng, fld, n, rng.randint(n, n + 3), n)
+        if not cols:
+            continue
+        rows, exact = lattice._hnf_exact(fld, [list(c) for c in cols], n)
+        if len(rows) < n:
+            continue
+        assert lattice.hnf_columns(fld, cols, n) == (rows, exact)
+        shift, ints = lattice._cleared(p, cols)
+        assert lattice._with_precision(lambda K: lattice._hnf_mod(p, fld.eps, lattice._residues(p, ints, K), n, K), p, ints)
+        for K in range(1, 16):
+            got = _echelon_mod_at(fld, cols, n, K)
+            if got is not None:
+                assert got == exact, (cols, K)
+                accepted += 1
+    assert accepted > 300
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank_deficient_columns_take_the_exact_path(p):
+    fld = field(p)
+    rng = random.Random(10 + p)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        cols = _random_columns(rng, fld, n, rng.randint(n, n + 2), rng.randint(1, n - 1))
+        if not cols:
+            continue
+        for K in (1, 2, 4, 8, 16, 32):
+            assert _echelon_mod_at(fld, cols, n, K) is None, (cols, K)
+        rows, out = lattice.hnf_columns(fld, cols, n)
+        assert len(rows) < n and (rows, out) == lattice._hnf_exact(fld, [list(c) for c in cols], n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.lists(st.integers(-2, 5), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 11]),
+)
+def test_rebasing_keeps_key_and_invariants(p, invs, seed, d):
+    # a random unimodular change of basis, times a unit of denominator d:
+    # the echelon key is the exact path's and the parent's, and the
+    # elementary-divisor invariants are those of the exact orthogonal basis
+    fld = field(p)
+    L = lattice_from_invariants(fld, invs)
+    rng = random.Random(seed)
+    u = fld.elem(Fraction(rng.randrange(1, p), d), rng.randrange(p))
+    R = EmbeddedLattice(L.space, lattice.mscale(u, rebased(L, random_unimodular(fld, L.rank, rng)).basis), _check=False)
+    assert R.key() == L.key()
+    rows, exact = lattice._hnf_exact(fld, [list(c) for c in R.columns()], R.dim)
+    assert R.key() == tuple(tuple((x.n, x.m, x.d) for x in row) for row in zip(*exact))
+    assert tuple(R.invariants()) == tuple(sorted(invs))
+    assert tuple(R.invariants()) == tuple(R._orthogonalize()[1])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_smith_exponents_match_minors(p):
+    # elementary divisors of random square matrices over O_F, not hermitian,
+    # against the valuations of their minors: e_1 + ... + e_k is the least
+    # valuation of a k x k minor
+    from itertools import combinations
+
+    fld = field(p)
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        r = rng.randint(1, 3)
+        M = mat([[fld.elem(rng.randrange(p**3), rng.randrange(p**3)) * fld.ppow(rng.randint(0, 2)) for _ in range(r)] for _ in range(r)])
+        least = [0]
+        for k in range(1, r + 1):
+            least.append(min(lattice.mdet(mat([[M[i][j] for j in cs] for i in rs])).valuation() for rs in combinations(range(r), k) for cs in combinations(range(r), k)))
+        if least[-1] == float("inf"):
+            continue
+        want = [least[k] - least[k - 1] for k in range(1, r + 1)]
+        shift, ints = lattice._cleared(p, M)
+        assert lattice._smith_mod(p, fld.eps, lattice._residues(p, ints, 12), 12) == want, M
+
+
+def test_singular_gram_raises_from_invariants(F3):
+    # an isotropic line (diagonal Gram [0]) and a plane with Gram [[1, 1],
+    # [1, 1]], spanned by a + e3 and e3 for a = (1, 1 + t, 0) of norm
+    # 1 + N(1 + t) = 1 - 1 = 0 in the split space of dimension 3
+    hyperbolic = HermSpace(F3, mat([[F3.zero, F3.one], [F3.one, F3.zero]]))
+    line = EmbeddedLattice(hyperbolic, mat([[F3.one], [F3.zero]]))
+    one, z = F3.one, F3.elem(1, 1)
+    plane = EmbeddedLattice(standard_space("split", 3, F3), mat([[one, F3.zero], [z, F3.zero], [one, one]]))
+    assert plane.gram == mat([[one, one], [one, one]])
+    for L in (line, plane):
+        assert lattice._gram_exponents(F3, L.gram) is None
+        with pytest.raises(DegenerateLattice):
+            L.invariants()
 
 
 def test_standard_spaces(F3):

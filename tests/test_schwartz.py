@@ -5,17 +5,19 @@ from itertools import product
 import pytest
 
 from hermsiegel import schwartz
+from hermsiegel.decomp import FlatPair, flat_coset_grid, in_support_N, perp_generator
 from hermsiegel.errors import BudgetExceeded, NotVertexType3
 from hermsiegel.lattice import (
     EmbeddedLattice,
     coset_representatives,
+    flat_from_invariants,
     from_generators,
     lattice_from_invariants,
     mscale,
     random_unimodular,
     rebased,
 )
-from hermsiegel.overlat import integral_overlattices
+from hermsiegel.overlat import integral_overlattices, vertex_overlattices
 from hermsiegel.ring import field
 from hermsiegel.schwartz import (
     LatticeFunction,
@@ -24,6 +26,7 @@ from hermsiegel.schwartz import (
     functions_equal,
     functions_equal_reference,
     int_v_lambda,
+    int_v_lambda_at,
     local_modularity_check,
     type1_overlattices,
 )
@@ -106,6 +109,38 @@ def test_int_v_lambda_values(F3):
     assert set(vals) == {True, False}
     outside = tuple(F3.elem(Fraction(1, 9)) * c for c in dual.column(0))
     assert evaluate(f, outside) == 0
+
+
+CLOSED_FORM_FLATS = [(3, (1, 1)), (3, (1, 3)), (3, (2, 2)), (5, (1, 1)), (5, (1, 2))]
+
+
+def closed_form_matches_evaluate(p, invs, every):
+    """int_v_lambda_at against evaluate(int_v_lambda(lam), x) for every
+    type-3 vertex lattice lam of the flat, on a coset grid that reaches past
+    the support set at both ends of the perpendicular valuations: at every
+    grid point in lam^v, where the three values occur, and at every
+    `every`-th other point, where both sides are 0."""
+    fld = field(p)
+    Lf, _ = flat_from_invariants(fld, invs, "nonsplit")
+    w = perp_generator(Lf)
+    v0 = int(Lf.space.vector_val(w))
+    grid = flat_coset_grid(Lf, w, range(-2, (max(invs) + 2 - v0) // 2 + 2))
+    assert not all(in_support_N(FlatPair(Lf, x)) for x in grid)
+    values = set()
+    for lam in vertex_overlattices(Lf, 3):
+        f = int_v_lambda(lam)
+        inside = [lam.dual().contains(x) for x in grid]
+        points = [x for i, x in enumerate(grid) if inside[i] or i % every == 0]
+        for x in points:
+            got = int_v_lambda_at(lam, x)
+            assert got == evaluate(f, x), (lam, x)
+            values.add(got)
+    assert values == {1 - p * p, 1, 0}
+
+
+@pytest.mark.parametrize("p, invs", CLOSED_FORM_FLATS)
+def test_int_v_lambda_at_matches_evaluate(p, invs):
+    closed_form_matches_evaluate(p, invs, every=25)
 
 
 def test_membership_counts_behind_the_transform(F3):

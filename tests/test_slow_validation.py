@@ -2,8 +2,9 @@
 
 These pin the structured oracle's orbit-stratification path against the
 definitional enumeration at precision 2, re-certify the vertex-window choice
-on the heaviest acceptance flats and the coset scatter of
-`schwartz.functions_equal` against its reference on a larger grid, and check
+on the heaviest acceptance flats, the coset scatter of
+`schwartz.functions_equal` against its reference on a larger grid and the
+closed vertical-cycle function on every point of its grids, and check
 the overlattice search through `den_poly` against Terstiege's rank-3 closed
 form, which shares no code with it.  They run in a few minutes and are kept
 out of the default suite.
@@ -57,6 +58,15 @@ def test_coset_scatter_matches_reference_larger_grid():
     grid = SCATTER_CASES + [(3, (3, 3)), (3, (1, 4)), (3, (0, 2, 2)), (3, (1, 2, 2)), (5, (2, 2)), (5, (0, 1, 2)), (5, (1, 1, 1))]
     for p, invs in grid:
         assert scatter_matches_reference(p, invs, random.Random(f"slow {p} {invs}"), rounds=4) >= 4, (p, invs)
+
+
+@slow
+def test_int_v_lambda_at_on_every_grid_point():
+    # the 11,823 (lattice, point) pairs of the five flats, none skipped
+    from test_schwartz import CLOSED_FORM_FLATS, closed_form_matches_evaluate
+
+    for p, invs in CLOSED_FORM_FLATS:
+        closed_form_matches_evaluate(p, invs, every=1)
 
 
 @slow
