@@ -1,5 +1,6 @@
 """Re-runnable mutants for the overlattice search, the closed vertical-cycle
-function and the integer echelon form and invariants.
+function, the integer echelon form and invariants, and the oracle's closed
+count of two non-unit columns.
 
 Each mutant names a source file, an exact text in it, the text that replaces
 it and the tests that must fail once it is replaced.  The script copies the
@@ -55,6 +56,8 @@ ECHELON = "tests/test_lattice.py::test_integer_echelon_matches_exact"
 DEFICIENT = "tests/test_lattice.py::test_rank_deficient_columns_take_the_exact_path"
 REBASING = "tests/test_lattice.py::test_rebasing_keeps_key_and_invariants"
 SMITH = "tests/test_lattice.py::test_smith_exponents_match_minors"
+ORACLE = "src/hermsiegel/oracle.py"
+PAIR = "tests/test_oracle.py::test_pair_count_closed_form_matches_tables"
 
 MUTANTS = (
     Mutant(
@@ -221,6 +224,27 @@ MUTANTS = (
         # a Gram matrix mostly pivots on its diagonal, whose entries are in
         # F0, where the conjugate changes nothing
         (SMITH, REBASING),
+    ),
+    Mutant(
+        "trace term spread by the valuation of x, not min(v, s)",
+        ORACLE,
+        "        w = min(v, s)\n",
+        "        w = v\n",
+        (PAIR,),
+    ),
+    Mutant(
+        "x = 0 term dropped from the pair count",
+        ORACLE,
+        "D = [0] * N + [p ** (2 * s)]",
+        "D = [0] * (N + 1)",
+        (PAIR,),
+    ),
+    Mutant(
+        "unit classes counted without the factor q - 1",
+        ORACLE,
+        "n_v // ((p - 1) * p ** (M - e_v - 1))",
+        "n_v // p ** (M - e_v - 1)",
+        (PAIR,),
     ),
 )
 

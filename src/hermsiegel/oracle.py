@@ -25,16 +25,20 @@ like q^(N n (2m-n))), so the counts are aggregated exactly:
     invariant for the unitary group of the form (Witt extension); scaling the
     column by a unit of O_F shows that each stratum's count depends on the
     norm only through its valuation, so one representative per valuation is
-    evaluated.  A unit norm leaves a closed-form class count; a non-unit norm
-    leaves a linear-plus-norm count that is vectorized with numpy.
+    evaluated.  A unit norm leaves a closed-form class count.  A non-unit
+    norm tau0 spans, with an isotropic partner, a hyperbolic-like plane
+    [[tau0, 1], [1, 0]]; in that basis the orthogonality condition is linear
+    and the second column's norm is -tau0 norm(x) plus a uniform trace term,
+    which again gives a closed-form class count (`_count_two_nonunit`).
 
 Each of these reductions is an elementary change-of-variables bijection, the
-surjectivity of the norm, or a classical orbit statement about finite chain
-rings; none of them uses the density identities under test.  All reductions
-are cross-checked against the naive definitional enumeration count_rep_naive
-at small precision in the test suite.  The counts themselves are exact
-integers throughout (numpy is used only for bounded tables whose entries fit
-comfortably in int64).
+surjectivity of the norm and trace, or a classical orbit statement about
+finite chain rings; none of them uses the density identities under test.  All
+reductions are cross-checked against the naive definitional enumeration
+count_rep_naive at small precision in the test suite, and the non-unit
+two-column class count against a residue-table count,
+`_pair_classes_tables`, that only the tests call.  The counts are exact
+integers throughout.
 """
 
 from __future__ import annotations
@@ -44,17 +48,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import BudgetExceeded, HermSiegelError, PreconditionViolated, UnsupportedShape
 from .lattice import EmbeddedLattice
 from .ring import Field, norm_solve, reduce as reduce_mod
 
 DEFAULT_NODE_BUDGET = 10**9
-
-# int64 tables of length p^(2N) alive at once in a non-unit two-column
-# stratum; the stratum's a-priori cell estimate is this times p^(2N)
-_PAIR_TABLES = 8
 
 
 @dataclass(frozen=True)
@@ -213,9 +211,6 @@ def _coset_norm_classes(p: int, N: int, s: int):
 # structured counting
 
 
-_PAD = 4
-
-
 def _count_unit_peel(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     """First L-column has a unit norm target c1: the column's solutions form
     the sphere of norm c1, and for a diagonal-aligned representative z e_i
@@ -236,15 +231,6 @@ def _count_unit_peel(fld: Field, mdiag, ldiag, N: int, budget) -> int:
         return 0
     rest = mdiag[:unit_slot] + mdiag[unit_slot + 1 :]
     return sphere * _count_structured(fld, rest, ldiag[1:], N, budget)
-
-
-def _coset_residues(fld: Field, N: int, s: int):
-    """Residues mod p^N of p^(N-s) O, as paired (x, y) integer arrays of
-    length p^(2s) (both components range over the step lattice)."""
-    p = fld.p
-    ps = p**s
-    ks = p ** (N - s) * np.arange(ps, dtype=np.int64)
-    return np.repeat(ks, ps), np.tile(ks, ps)
 
 
 def _two_nonunit_strata(p: int, N: int, c1: int):
@@ -273,6 +259,19 @@ def _two_nonunit_strata(p: int, N: int, c1: int):
     return strata
 
 
+def _strata_walk(p: int, N: int, c1: int) -> int:
+    """How many norm representatives `_two_nonunit_strata` visits: p^s lifts
+    for each content s with 2s < N that p^(2s) divides c1, and, when c1 = 0,
+    every norm mod p^(N-s) for each s with 2s >= N."""
+    total = 0
+    for s in range(N):
+        if 2 * s >= N:
+            total += p ** (N - s) if c1 == 0 else 0
+        elif c1 % p ** (2 * s) == 0:
+            total += p**s
+    return total
+
+
 def _count_two_nonunit(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     """n = 2, both diagonal targets of positive valuation, M unimodular diagonal.
 
@@ -284,9 +283,36 @@ def _count_two_nonunit(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     lambda a for a unit lambda of O_F keeps the second columns orthogonal to
     it and multiplies tau0 by norm(lambda), any unit of Z_p: both the number
     of first columns and the count of second columns depend on tau0 only
-    through its valuation.  The non-unit strata are sized before any is
-    counted: the count is refused when their tables or their total work
-    exceed the budget.
+    through its valuation.  The walk over the stratum representatives is
+    sized before it starts, and the count is refused when it exceeds the
+    budget.
+
+    Second columns of a non-unit stratum, in closed form (`_pair_classes`).
+    The representative a0 = (z, 1, 0, ...) is primitive, with
+    (a0, a0) = tau0 in pZ_p, and lies in the unimodular plane P of the first
+    two coordinates.  Because p is odd, P holds an f with (f, a0) = 1 and
+    (f, f) = 0: take any f0 in P with (f0, a0) = 1, solve
+    2 lam + tau0 lam^2 = -(f0, f0) in Z_p by Hensel (the derivative
+    2 + 2 tau0 lam is a unit), and rescale f0 + lam a0 by the unit
+    1 + lam tau0 of Z_p.  The Gram matrix of {a0, f} is [[tau0, 1], [1, 0]],
+    of unit determinant, so {a0, f} is a basis of P.  Write the part of b in
+    P as x a0 + y f.  Then (a0, b) = conj(x) tau0 + conj(y), so
+    (a, b) in p^N O reads y = -tau0 x + p^(N-s) e with e in O/p^s, and
+    (x, e) runs once over the pairs in P that satisfy it.  Its norm is
+    -tau0 norm(x) + p^(N-s) Tr(x conj(e)).
+
+    Take x of valuation v < N and put w = min(v, s).  Since the trace of O
+    onto Z_p is onto, p^(N-s) Tr(x conj(e)) runs uniformly over
+    p^(N-s+w) Z/p^N, each value p^(s+w) times, and the norms of the units
+    mod p^(N-v) run uniformly over the unit classes.  With j = N - v,
+    n_v = q^(2j) - q^(2j-2) such x, M = N - s + w and
+    e_v = 2v + val(tau0 mod p^N), the class vector is
+
+      D[k] = q^(2s) [k = N] + sum_{v<N} q^(s+w) c_v(k),
+
+    where c_v(k) is n_v when e_v >= M and k >= M, is
+    n_v / ((q - 1) q^(M-e_v-1)) when e_v < M and k = e_v, and is 0
+    otherwise.  The first term is x = 0, which leaves every e.
     """
     p = fld.p
     pN = p**N
@@ -298,19 +324,15 @@ def _count_two_nonunit(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     (v1, u1), (v2, u2) = ldiag
     c1 = (pow(p, v1, pN) * u1) % pN if v1 < N else 0
     c2 = (pow(p, v2, pN) * u2) % pN if v2 < N else 0
-    strata = _two_nonunit_strata(p, N, c1)
-    cells = _PAIR_TABLES * p ** (2 * N)
-    work = sum(p ** (2 * s) * p ** (2 * N) for s, classes in strata for tau0, _ in classes.values() if tau0 % p == 0)
-    if work and max(cells, work) > budget:
-        raise BudgetExceeded(
-            f"two-column count needs {cells} table cells and {work} vector operations, over the budget of {budget}"
-        )
+    walk = _strata_walk(p, N, c1)
+    if walk > budget:
+        raise BudgetExceeded(f"two-column count walks {walk} stratum representatives, over the budget of {budget}")
     total = 0
     # stratum a = 0: the cross constraint is vacuous (L is diagonal), the
     # second column is a plain sphere
     if c1 == 0:
         total += _sphere_count(fld, N, mdiag, c2)
-    for s, classes in strata:
+    for s, classes in _two_nonunit_strata(p, N, c1):
         Np = N - s
         mdiag_Np = [(v if v < Np else Np, u % p**Np) for v, u in mdiag]
         for tau0, mult in classes.values():
@@ -321,33 +343,44 @@ def _count_two_nonunit(fld: Field, mdiag, ldiag, N: int, budget) -> int:
     return total
 
 
-def _inner_count(fld, N, s, tau0, mdiag, c2):
-    """#{b : (a, b) = 0, (b, b) = c2} for the standard representative a =
-    p^s a0 of the stratum with norm(a0) = tau0 mod p^(N-s).
+def _pair_classes(p: int, N: int, s: int, tau0: int):
+    """Class vector of #{(b1, b2) in (O/p^N)^2 : (a0, b) in p^(N-s) O,
+    (b, b) = c} over the first two coordinates, for a primitive a0 there of
+    non-unit norm tau0; the closed form derived in `_count_two_nonunit`."""
+    t = _val_class(tau0, p, N)
+    D = [0] * N + [p ** (2 * s)]
+    for v in range(N):
+        j = N - v
+        n_v = p ** (2 * j) - p ** (2 * j - 2)
+        w = min(v, s)
+        M = N - s + w
+        e_v = 2 * v + t
+        if e_v >= M:
+            for k in range(M, N + 1):
+                D[k] += p ** (s + w) * n_v
+        else:
+            D[e_v] += p ** (s + w) * n_v // ((p - 1) * p ** (M - e_v - 1))
+    return D
 
-    The linear condition confines the pinned coordinates of b to a p-power
-    coset; the remaining coordinates contribute a norm-sum distribution.
-    """
+
+def _pair_classes_tables(fld: Field, N: int, s: int, tau0: int, d1: int, d2: int):
+    """`_pair_classes` on the form d1 N(b1) + d2 N(b2), counted residue by
+    residue: a0 = (z, 1) with d1 norm(z) = tau0 - d2, and every (b1, b2) in
+    int64 tables of p^(2N) cells.  The reference for the closed form; no
+    library code calls it."""
+    import numpy as np
+
     p = fld.p
     pN = p**N
-    C = _class_structure(p, N)
-    k2 = _val_class(c2, p, N)
-    if tau0 % p != 0:
-        # pattern A: a0 = (z, 0, ...) with d1 norm(z) = tau0 (a unit)
-        # condition on b: d1 conj(z) b1 in p^(N-s) O, i.e. b1 in p^(N-s) O
-        rest = _sphere_classes(p, N, _class_vals(mdiag[1:], N))
-        return _class_conv_at(_coset_norm_classes(p, N, s), rest, C, k2)
-    # pattern B: a0 = (z, 1, 0, ...) with d1 norm(z) = tau0 - d2 (a unit)
-    K = N + _PAD
+    # z is solved past the precision N, then reduced
+    K = N + 4
     pK = p**K
-    ringK = fld.residue_ring(K)
-    d1 = mdiag[0][1] % pN
-    d2 = mdiag[1][1] % pN
     t = (tau0 - d2) % pK
     if t % p == 0:
         raise HermSiegelError("stratum representative construction failed")
-    z = norm_solve(ringK, t * pow(d1, -1, pK) % pK)
+    z = norm_solve(fld.residue_ring(K), t * pow(d1, -1, pK) % pK)
     zr = reduce_mod(z.lift(), N)
+    d1, d2 = d1 % pN, d2 % pN
     # u := d1 conj(z) b1 + d2 b2 must lie in p^(N-s) O; (b1, u) <-> (b1, b2)
     xs_all = np.arange(pN, dtype=np.int64)
     b1x = np.repeat(xs_all, pN)
@@ -360,15 +393,34 @@ def _inner_count(fld, N, s, tau0, mdiag, c2):
     del b1x, b1y
     d2inv = pow(d2, -1, pN)
     T = np.zeros(pN, dtype=object)
-    ux_list, uy_list = _coset_residues(fld, N, s)
-    for ux, uy in zip(ux_list, uy_list):
-        wx = ((int(ux) - cb1x) * d2inv) % pN
-        wy = ((int(uy) - cb1y) * d2inv) % pN
+    step = [p ** (N - s) * k for k in range(p**s)]
+    for ux, uy in itertools.product(step, repeat=2):
+        wx = ((ux - cb1x) * d2inv) % pN
+        wy = ((uy - cb1y) * d2inv) % pN
         norm_b2 = (wx * wx - (fld.eps % pN) * wy * wy) % pN
         T += np.bincount((norm_b1 + d2 * norm_b2) % pN, minlength=pN).astype(object)
     # T is a class function: b -> lambda b keeps the linear condition
-    T = [int(T[pow(p, k, pN)]) for k in range(N + 1)]
-    return _class_conv_at(T, _sphere_classes(p, N, _class_vals(mdiag[2:], N)), C, k2)
+    return [int(T[pow(p, k, pN)]) for k in range(N + 1)]
+
+
+def _inner_count(fld, N, s, tau0, mdiag, c2):
+    """#{b : (a, b) = 0, (b, b) = c2} for the standard representative a =
+    p^s a0 of the stratum with norm(a0) = tau0 mod p^(N-s).
+
+    The linear condition confines the pinned coordinates of b to a p-power
+    coset; the remaining coordinates contribute a norm-sum distribution.
+    """
+    p = fld.p
+    C = _class_structure(p, N)
+    k2 = _val_class(c2, p, N)
+    if tau0 % p != 0:
+        # pattern A: a0 = (z, 0, ...) with d1 norm(z) = tau0 (a unit)
+        # condition on b: d1 conj(z) b1 in p^(N-s) O, i.e. b1 in p^(N-s) O
+        rest = _sphere_classes(p, N, _class_vals(mdiag[1:], N))
+        return _class_conv_at(_coset_norm_classes(p, N, s), rest, C, k2)
+    # pattern B: a0 = (z, 1, 0, ...) with d1 norm(z) = tau0 - d2 (a unit)
+    rest = _sphere_classes(p, N, _class_vals(mdiag[2:], N))
+    return _class_conv_at(_pair_classes(p, N, s, tau0), rest, C, k2)
 
 
 def _count_structured(fld: Field, mdiag, ldiag, N: int, budget) -> int:

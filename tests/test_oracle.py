@@ -1,4 +1,5 @@
 import itertools
+import os
 import time
 from fractions import Fraction
 
@@ -219,15 +220,71 @@ def test_former_known_limits_at_p5(F5, invs, k):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("p, invs, budget", [(3, (1, 2), 10**5), (5, (2, 2), 10**6)])
-def test_two_nonunit_refused_before_allocating(monkeypatch, p, invs, budget):
-    # with numpy gone, any table allocation would raise AttributeError
-    monkeypatch.setattr(oracle, "np", None)
+# shapes the table count refused (p = 3) or that the OS killed first (p = 5)
+FORMERLY_REFUSED = [(3, (1, 2), 10**5), (5, (2, 2), 10**6)]
+
+
+@pytest.mark.parametrize("p, invs, budget", FORMERLY_REFUSED)
+def test_formerly_refused_shapes_match_den_poly(p, invs, budget):
     fld = field(p)
+    M = lat(fld, 0, 0, 0)
+    num = den_oracle(M, lat(fld, *invs), budget=budget)
+    den = den_oracle(M, lat(fld, 0, 0), budget=budget)
+    assert num.stabilized and num.normalized / den.normalized == den_poly(lat(fld, *invs))(Fraction(-p) ** (-1))
+
+
+def test_stratum_walk_refused_before_it_starts(F3):
+    # L = (40, 40) at N = 40 has c1 = 0, so the contents s >= 20 walk every
+    # norm mod p^(N-s): 3^20 representatives at s = 20 alone
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="table cells"):
-        den_oracle(lat(fld, 0, 0, 0), lat(fld, *invs), budget=budget)
+    with pytest.raises(BudgetExceeded, match="stratum representatives"):
+        count_rep(lat(F3, 0, 0, 0), lat(F3, 40, 40), 40, budget=10**6)
     assert time.perf_counter() - start < 1.0
+
+
+def test_stratum_walk_size():
+    for p, N, c1 in [(3, 4, 0), (3, 5, 0), (3, 5, 3), (3, 5, 9), (5, 4, 25), (5, 4, 7), (7, 3, 0)]:
+        seen = sum(p**s if 2 * s < N else p ** (N - s) for s, _ in oracle._two_nonunit_strata(p, N, c1))
+        assert oracle._strata_walk(p, N, c1) == seen, (p, N, c1)
+
+
+@pytest.mark.parametrize(
+    "p, invs, k",
+    [(5, invs, k) for invs in [(1, 2), (2, 2)] for k in (0, 1)]
+    + [(7, invs, k) for invs in [(1, 1), (1, 2), (2, 2)] for k in (0, 1)],
+)
+def test_oracle_vs_den_poly_two_nonunit(p, invs, k):
+    start = time.perf_counter()
+    fld = field(p)
+    M = lat(fld, *(0,) * (2 + k))
+    num = den_oracle(M, lat(fld, *invs))
+    den = den_oracle(M, lat(fld, 0, 0))
+    assert num.stabilized and num.normalized / den.normalized == den_poly(lat(fld, *invs))(Fraction(-p) ** (-k))
+    assert time.perf_counter() - start < 1.0
+
+
+slow = pytest.mark.skipif(not os.environ.get("HERMSIEGEL_SLOW"), reason="set HERMSIEGEL_SLOW=1 to run")
+
+
+@pytest.mark.parametrize("p, N_lo, N_hi", [(3, 1, 4), (5, 1, 3), (7, 1, 2), pytest.param(3, 5, 5, marks=slow)])
+def test_pair_count_closed_form_matches_tables(p, N_lo, N_hi):
+    # every content s, every non-unit norm tau0 mod p^(N-s) and both unit
+    # classes of d1; the second column's target c2 runs over one value per
+    # class, next to a unimodular rest of rank 0, 1 and 2
+    fld = field(p)
+    for N in range(N_lo, N_hi + 1):
+        C = oracle._class_structure(p, N)
+        for s in range(N):
+            for tau0 in range(0, p ** (N - s), p):
+                for d1 in (1, 2):
+                    ref = oracle._pair_classes_tables(fld, N, s, tau0, d1, 1)
+                    assert oracle._pair_classes(p, N, s, tau0) == ref, (p, N, s, tau0, d1)
+                    for rest in range(3):
+                        mdiag = [(0, d1), (0, 1)] + [(0, 1)] * rest
+                        sphere = oracle._sphere_classes(p, N, (0,) * rest)
+                        for k in range(N + 1):
+                            got = oracle._inner_count(fld, N, s, tau0, mdiag, p**k % p**N)
+                            assert got == oracle._class_conv_at(ref, sphere, C, k), (p, N, s, tau0, d1, rest, k)
 
 
 # shapes the structured count does not cover: two non-unit columns in a

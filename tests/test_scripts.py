@@ -24,6 +24,14 @@ def test_oracle_report_rows_ok():
         assert row.rsplit("(", 1)[0].split()[-1] == "ok", row
 
 
+def test_oracle_report_p5_rank2_rows_ok():
+    # two non-unit columns at p = 5, which the residue tables could not reach
+    rows = _run("oracle_report.py", "--p", "5", "--max-rank", "2", "--max-val", "4")
+    assert len(rows) == 28  # 5 rank-1 and 9 rank-2 invariants, each at k = 0 and 1
+    for row in rows:
+        assert row.rsplit("(", 1)[0].split()[-1] == "ok", row
+
+
 def test_make_tables_runs():
     rows = _run("make_tables.py", "--max-rank", "1", "--max-val", "2")
     assert [row.split()[0] for row in rows] == ["(0,)", "(1,)", "(2,)"]
@@ -35,7 +43,7 @@ def test_mutant_table_matches_the_source():
     spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    assert len(mutants.MUTANTS) >= 23
+    assert len(mutants.MUTANTS) >= 26
     assert mutants.check_texts() == []
     for mut in mutants.MUTANTS:
         assert mut.file.startswith("src/"), mut.name
